@@ -15,16 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dataio
-from .coefficients import (
-    Method,
-    chatterjee_xi,
-    hoeffding_d,
-    pearson_r,
-    symmetric_nn_sum,
-    xi_nm,
-    xi_nm_reflected,
-    xi_pm,
-)
+from .coefficients import METHODS, Method
 from .errors import ConfigError, XiBoostError
 from .inference import (
     PermutationTestConfig,
@@ -34,6 +25,7 @@ from .inference import (
 )
 from .power import beta_of_gamma, zeta
 from .simulation import (
+    POWER_METHODS,
     PowerStudyConfig,
     StudyReport,
     consistency_study,
@@ -44,17 +36,8 @@ from .simulation import (
 
 SEED_ENV_VAR = "XI_BOOST_SEED"
 
-_COEFFICIENTS = {
-    Method.XI_CLASSIC: lambda s, M: chatterjee_xi(s),
-    Method.XI_NM: xi_nm,
-    Method.XI_NM_REFLECTED: xi_nm_reflected,
-    Method.XI_PM: xi_pm,
-    Method.SYMMETRIC_NN: symmetric_nn_sum,
-    Method.PEARSON: lambda s, M: pearson_r(s),
-    Method.HOEFFDING_D: lambda s, M: hoeffding_d(s),
-}
-
-_M_METHODS = {Method.XI_NM, Method.XI_NM_REFLECTED, Method.XI_PM, Method.SYMMETRIC_NN}
+# methods `test` calibrates by permutation, in table order
+_PERMUTATION_CHOICES = [m.value for m in Method if METHODS[m].score is not None]
 
 
 def _int_list(text: str) -> list:
@@ -132,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     test = sub.add_parser("test", help="independence test")
     test.add_argument("--method", required=True,
-                      choices=["xi-pm", "symmetric-nn", "hoeffding-d",
-                               "xi-asymptotic", "pearson"])
+                      choices=_PERMUTATION_CHOICES + ["xi-asymptotic", "pearson"])
     test.add_argument("-M", "--neighbors", type=int, default=None)
     test.add_argument("-B", "--replicates", type=int, default=10_000,
                       help="null replicates for permutation methods")
@@ -149,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--M-values", type=_int_list, default=None)
     pw.add_argument("--rho0-values", type=_float_list, default=None)
     pw.add_argument("--methods", default=None,
-                    help="comma list from: xi-pm,symmetric-nn,hoeffding-d,pearson")
+                    help="comma list from: " + ",".join(m.value for m in POWER_METHODS))
     pw.add_argument("--replicates", type=int, default=None)
     pw.add_argument("-B", type=int, dest="B", default=None)
     pw.add_argument("--alpha", type=float, default=None)
@@ -198,14 +180,12 @@ def _run_coef(parser, args) -> int:
     if args.jitter:
         seed = _resolve_seed(parser, args)
     sample = _load(args, seed)
-    if method in _M_METHODS:
-        if args.neighbors is None:
-            parser.error(f"--method {method.value} requires -M")
-        result = _COEFFICIENTS[method](sample, args.neighbors)
-    else:
-        if args.neighbors is not None:
-            parser.error(f"--method {method.value} does not take -M")
-        result = _COEFFICIENTS[method](sample, None)
+    spec = METHODS[method]
+    if spec.needs_m and args.neighbors is None:
+        parser.error(f"--method {method.value} requires -M")
+    if not spec.needs_m and args.neighbors is not None:
+        parser.error(f"--method {method.value} does not take -M")
+    result = spec.coefficient(sample, args.neighbors)
     if args.json:
         _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
     else:
@@ -215,7 +195,7 @@ def _run_coef(parser, args) -> int:
 
 
 def _run_test(parser, args) -> int:
-    needs_seed = args.method in ("xi-pm", "symmetric-nn", "hoeffding-d") or args.jitter
+    needs_seed = args.method in _PERMUTATION_CHOICES or args.jitter
     seed = _resolve_seed(parser, args) if needs_seed else args.seed
     sample = _load(args, seed)
     if args.method == "xi-asymptotic":
@@ -227,12 +207,12 @@ def _run_test(parser, args) -> int:
         result = pearson_test(sample, args.alpha)
     else:
         method = Method(args.method)
-        M = args.neighbors
-        if method in (Method.XI_PM, Method.SYMMETRIC_NN) and M is None:
+        needs_m = METHODS[method].needs_m
+        if needs_m and args.neighbors is None:
             parser.error(f"--method {method.value} requires -M")
         cfg = PermutationTestConfig(
             B=args.replicates, alpha=args.alpha, seed=seed, method=method,
-            M=M if method in (Method.XI_PM, Method.SYMMETRIC_NN) else None,
+            M=args.neighbors if needs_m else None,
         )
         result = permutation_test(sample, cfg)
     payload = dataclasses.asdict(result)

@@ -4,6 +4,11 @@ All rank statistics accumulate integer min-rank sums exactly and perform a
 single float division at the end, so values are bit-identical across
 platforms. Exact rational variants back the enumeration and extremal-identity
 checks.
+
+Each sum has one kernel over a batch of rank rows: a coefficient is a batch
+of one row, a permutation null a batch of drawn rows. :data:`METHODS` says
+which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and which
+have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -25,7 +30,7 @@ from .ranks import (
     XOrder,
     compute_ranks,
     is_rank_permutation,
-    reflect_ranks,
+    row_chunks,
     sorted_y_ranks,
     validate_neighbor_count,
 )
@@ -66,46 +71,34 @@ class PopulationXi:
 # integer kernels
 
 
-def min_rank_sum(rs: np.ndarray, M: int) -> int:
-    """Sum over all points and m = 1..M of min(rank, rank of m-th right neighbor).
-
-    `rs` holds y-ranks in ascending-x order, so the m-th right neighbor of the
-    element at position p is simply the element at position p+m; the last m
-    elements pair with themselves. Exact integer arithmetic throughout.
-    """
-    n = rs.size
-    v = rs.astype(np.int64, copy=False)
-    total = 0
-    for m in range(1, M + 1):
-        total += int(np.minimum(v[: n - m], v[m:]).sum())
-        total += int(v[n - m:].sum())
-    return total
-
-
 def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Min-rank sums of each row and of its rank reflection, in one pass.
 
-    Rows are rank vectors in ascending-x order (for null replicates, drawn
-    permutations as-is). The reflected sum reuses the identity
-    min(n+1-a, n+1-b) = (n+1) - a - b + min(a, b); summed over all neighbor
-    pairs the linear terms collapse to head/tail prefix sums, so per distance
-    m the reflected contribution is P_m + H_m where the direct one is
-    P_m + T_m (P = pair minima, H/T = head/tail sums of the first/last m
-    entries).
+    Each row holds y-ranks in ascending-x order (a permutation of 1..n), so
+    the m-th right neighbor of position p is position p+m, and the last m
+    positions pair with themselves. Per distance m the direct sum is P_m + T_m
+    (P = pair minima, T = sum of the last m entries). The reflected sum, over
+    ranks n+1-r, uses min(n+1-a, n+1-b) = (n+1) - a - b + min(a, b); the
+    linear terms collapse to P_m + H_m (H = sum of the first m entries). The
+    head and tail sums over m = 1..M are closed-form weighted sums, so only
+    the pair minima need the loop. Exact int64 arithmetic throughout.
     """
     k, n = rows.shape
-    cs = np.cumsum(rows, axis=1, dtype=np.int64)
-    grand = cs[:, -1]
-    direct = np.zeros(k, dtype=np.int64)
-    heads = np.zeros(k, dtype=np.int64)
-    tails = np.zeros(k, dtype=np.int64)
+    pairs = np.zeros(k, dtype=np.int64)
     for m in range(1, M + 1):
-        direct += np.minimum(rows[:, : n - m], rows[:, m:]).sum(axis=1, dtype=np.int64)
-        tail = grand - cs[:, n - m - 1]
-        direct += tail
-        tails += tail
-        heads += cs[:, m - 1]
-    return direct, direct + heads - tails
+        pairs += np.minimum(rows[:, : n - m], rows[:, m:]).sum(axis=1, dtype=np.int64)
+    # for m = 1..M, position n-M+j is among the last m entries j+1 times and
+    # position j among the first m entries M-j times
+    weights = np.arange(1, M + 1, dtype=np.int64)
+    tails = rows[:, n - M:] @ weights
+    heads = rows[:, :M] @ weights[::-1]
+    return pairs + tails, pairs + heads
+
+
+def min_rank_sum(rs: np.ndarray, M: int) -> int:
+    """Sum over all points and m = 1..M of min(rank, rank of m-th right neighbor);
+    a one-row :func:`batch_min_rank_sums`."""
+    return int(batch_min_rank_sums(np.asarray(rs)[None], M)[0][0])
 
 
 def symmetric_neighbor_spans(n: int, M: int) -> list[tuple[int, int, int]]:
@@ -135,22 +128,20 @@ def symmetric_neighbor_spans(n: int, M: int) -> list[tuple[int, int, int]]:
     return spans
 
 
-def symmetric_min_sum(rs: np.ndarray, M: int) -> int:
-    """Raw symmetric-neighbor statistic: sum of min ranks over all incidences."""
-    v = rs.astype(np.int64, copy=False)
-    total = 0
-    for d, lo, hi in symmetric_neighbor_spans(rs.size, M):
-        total += int(np.minimum(v[lo:hi], v[lo + d:hi + d]).sum())
-    return total
-
-
 def batch_symmetric_min_sums(rows: np.ndarray, M: int) -> np.ndarray:
-    """Row-wise symmetric-neighbor min sums; see :func:`symmetric_min_sum`."""
+    """Row-wise symmetric-neighbor min sums over the spans of
+    :func:`symmetric_neighbor_spans`. Exact int64 arithmetic."""
     k, n = rows.shape
     out = np.zeros(k, dtype=np.int64)
     for d, lo, hi in symmetric_neighbor_spans(n, M):
         out += np.minimum(rows[:, lo:hi], rows[:, lo + d:hi + d]).sum(axis=1, dtype=np.int64)
     return out
+
+
+def symmetric_min_sum(rs: np.ndarray, M: int) -> int:
+    """Raw symmetric-neighbor statistic: sum of min ranks over all incidences;
+    a one-row :func:`batch_symmetric_min_sums`."""
+    return int(batch_symmetric_min_sums(np.asarray(rs)[None], M)[0])
 
 
 def xi_denominator(n: int, M: int) -> int:
@@ -216,8 +207,14 @@ def xi_nm_reflected(s: Sample, M: int) -> CoefficientValue:
     """:func:`xi_nm` on (x, -y), computed by rank reflection without re-sorting."""
     rs = sorted_y_ranks(s)
     M = validate_neighbor_count(rs.size, M)
-    value = xi_from_min_sum(min_rank_sum(reflect_ranks(rs), M), rs.size, M)
+    _, reflected = batch_min_rank_sums(rs[None], M)
+    value = xi_from_min_sum(int(reflected[0]), rs.size, M)
     return CoefficientValue(value=value, method=Method.XI_NM_REFLECTED, n=rs.size, M=M)
+
+
+def _two_direction_sums(rows: np.ndarray, M: int) -> np.ndarray:
+    """Row-wise max of the direct and reflected min-rank sums."""
+    return np.maximum(*batch_min_rank_sums(rows, M))
 
 
 def xi_pm(s: Sample, M: int) -> CoefficientValue:
@@ -225,7 +222,7 @@ def xi_pm(s: Sample, M: int) -> CoefficientValue:
     rs = sorted_y_ranks(s)
     M = validate_neighbor_count(rs.size, M)
     n = rs.size
-    best = max(min_rank_sum(rs, M), min_rank_sum(reflect_ranks(rs), M))
+    best = int(_two_direction_sums(rs[None], M)[0])
     return CoefficientValue(value=xi_from_min_sum(best, n, M), method=Method.XI_PM, n=n, M=M)
 
 
@@ -259,9 +256,7 @@ def _quadrant_counts(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
     """c_i = #{j : rx_j < rx_i and ry_j < ry_i}, blockwise to bound memory."""
     n = rx.size
     c = np.empty(n, dtype=np.int64)
-    block = max(1, 2_000_000 // max(n, 1))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
+    for lo, hi in row_chunks(n, n):
         c[lo:hi] = (
             (rx[None, :] < rx[lo:hi, None]) & (ry[None, :] < ry[lo:hi, None])
         ).sum(axis=1)
@@ -277,6 +272,15 @@ def hoeffding_numerator(rx: np.ndarray, ry: np.ndarray) -> int:
     B = sum((a - 2) * (b - 2) * q for a, b, q in zip(lx, ly, lc))
     C = sum(q * (q - 1) for q in lc)
     return A - 2 * (n - 2) * B + (n - 2) * (n - 3) * C
+
+
+def batch_hoeffding_numerators(rows: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`hoeffding_numerator` of y-rank rows in ascending-x order
+    (x-ranks 1..n; a sum over points, it ignores their order), as exact Python
+    integers in an object array."""
+    identity = np.arange(1, rows.shape[1] + 1, dtype=np.int64)
+    return np.array([hoeffding_numerator(identity, row.astype(np.int64)) for row in rows],
+                    dtype=object)
 
 
 def hoeffding_denominator(n: int) -> int:
@@ -295,6 +299,34 @@ def hoeffding_d(s: Sample) -> CoefficientValue:
     ry = compute_ranks(s.y)
     value = hoeffding_numerator(rx, ry) / hoeffding_denominator(s.n)
     return CoefficientValue(value=value, method=Method.HOEFFDING_D, n=s.n)
+
+
+# ---------------------------------------------------------------------------
+# method table
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """Per-method facts. `coefficient(s, M)` takes M=None unless `needs_m`.
+    `score(rows, M)` gives exact integer scores of y-rank rows in ascending-x
+    order, larger for stronger dependence; it is None for a method without a
+    permutation test."""
+
+    needs_m: bool
+    coefficient: Callable[[Sample, Optional[int]], CoefficientValue]
+    score: Optional[Callable[[np.ndarray, Optional[int]], np.ndarray]] = None
+
+
+METHODS: dict[Method, MethodSpec] = {
+    Method.XI_CLASSIC: MethodSpec(False, lambda s, M: chatterjee_xi(s)),
+    Method.XI_NM: MethodSpec(True, xi_nm),
+    Method.XI_NM_REFLECTED: MethodSpec(True, xi_nm_reflected),
+    Method.XI_PM: MethodSpec(True, xi_pm, _two_direction_sums),
+    Method.SYMMETRIC_NN: MethodSpec(True, symmetric_nn_sum, batch_symmetric_min_sums),
+    Method.PEARSON: MethodSpec(False, lambda s, M: pearson_r(s)),
+    Method.HOEFFDING_D: MethodSpec(False, lambda s, M: hoeffding_d(s),
+                                   lambda rows, M: batch_hoeffding_numerators(rows)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ The simulation-based test calibrates a statistic against B uniformly drawn
 rank permutations, exploiting distribution-freeness under independence; the
 reported p-value (1 + #{replicates >= observed}) / (1 + B) is conservative
 and valid for any n, B, and M. Replicate statistics are compared to the
-observed one on exact integer numerators, so ties are resolved without any
+observed one on exact integer scores, so ties are resolved without any
 float edge cases.
+
+The permutation-testable methods are those with a batch score in
+:data:`~xiboost.coefficients.METHODS` (xi-pm, symmetric-nn, hoeffding-d);
+the test runs the same code for each of them.
 """
 
 from __future__ import annotations
@@ -21,34 +25,21 @@ from scipy.special import ndtr
 from scipy.stats import t as student_t
 
 from .coefficients import (
+    METHODS,
     Method,
-    batch_min_rank_sums,
-    batch_symmetric_min_sums,
-    hoeffding_denominator,
-    hoeffding_numerator,
-    min_rank_sum,
     pearson_r,
-    symmetric_min_sum,
     xi_denominator,
-    xi_from_min_sum,
     xi_nm,
+    xi_nm_from_ranks,
 )
 from .errors import ConfigError, RegimeError, SizeError
 from .ranks import (
     Sample,
-    compute_ranks,
     derive_rng,
-    is_rank_permutation,
-    reflect_ranks,
+    row_chunks,
     sorted_y_ranks,
     validate_neighbor_count,
 )
-
-PERMUTATION_METHODS = (Method.XI_PM, Method.SYMMETRIC_NN, Method.HOEFFDING_D)
-
-# replicate batches are drawn in fixed-size chunks so peak memory stays
-# bounded; the chunk rule depends only on (n, B), keeping draws deterministic
-_CHUNK_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -66,12 +57,13 @@ class PermutationTestConfig:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.method not in PERMUTATION_METHODS:
+        object.__setattr__(self, "method", Method(self.method))
+        spec = METHODS[self.method]
+        if spec.score is None:
             raise ConfigError(f"unsupported permutation-test method {self.method!r}")
-        needs_m = self.method in (Method.XI_PM, Method.SYMMETRIC_NN)
-        if needs_m and self.M is None:
+        if spec.needs_m and self.M is None:
             raise ConfigError(f"method {self.method.value} requires M")
-        if not needs_m and self.M is not None:
+        if not spec.needs_m and self.M is not None:
             raise ConfigError(f"method {self.method.value} does not take M")
 
 
@@ -103,59 +95,33 @@ class NullMoments:
 
 
 def _permutation_batches(rng: np.random.Generator, n: int, B: int):
-    """Yield (k, n) int32 permutation matrices with rows drawn uniformly."""
-    chunk = max(1, min(B, _CHUNK_CELLS // n))
+    """Yield (k, n) int32 permutation matrices with rows drawn uniformly.
+
+    Rows are drawn one after another from `rng`, so the draws do not depend
+    on the chunk size."""
     base = np.arange(1, n + 1, dtype=np.int32)
-    done = 0
-    while done < B:
-        k = min(chunk, B - done)
-        mat = np.tile(base, (k, 1))
+    for start, stop in row_chunks(n, B):
+        mat = np.tile(base, (stop - start, 1))
         rng.permuted(mat, axis=1, out=mat)
         yield mat
-        done += k
 
 
 def permutation_test(s: Sample, cfg: PermutationTestConfig) -> TestResult:
     """Simulation-based independence test; deterministic given cfg.seed.
 
-    Each replicate draws one uniform rank permutation and evaluates the
-    statistic on the identity x-order (right neighbors are positions i+m, so
-    no sorting is needed); for the two-direction xi statistic the same draw
-    also yields the reflected coefficient and the maximum is taken. Cost is
-    O(B n M) for the rank statistics.
+    The observed sample is scored as its one row of y-ranks in ascending-x
+    order. Each replicate draws one uniform rank permutation and scores it as
+    such a row (right neighbors are positions i+m, so no sorting is needed).
+    Cost is O(B n M) for the rank statistics, O(B n^2) for Hoeffding's D.
     """
     n = s.n
+    spec = METHODS[cfg.method]
+    statistic = spec.coefficient(s, cfg.M).value
+    observed = spec.score(sorted_y_ranks(s)[None], cfg.M)[0]
     rng = derive_rng(cfg.seed)
-    if cfg.method is Method.XI_PM:
-        rs = sorted_y_ranks(s)
-        M = validate_neighbor_count(n, cfg.M)
-        obs_sum = max(min_rank_sum(rs, M), min_rank_sum(reflect_ranks(rs), M))
-        statistic = xi_from_min_sum(obs_sum, n, M)
-        exceed = 0
-        for mat in _permutation_batches(rng, n, cfg.B):
-            direct, reflected = batch_min_rank_sums(mat, M)
-            exceed += int(np.count_nonzero(np.maximum(direct, reflected) >= obs_sum))
-    elif cfg.method is Method.SYMMETRIC_NN:
-        rs = sorted_y_ranks(s)
-        M = validate_neighbor_count(n, cfg.M)
-        obs_sum = symmetric_min_sum(rs, M)
-        statistic = float(obs_sum)
-        exceed = 0
-        for mat in _permutation_batches(rng, n, cfg.B):
-            exceed += int(np.count_nonzero(batch_symmetric_min_sums(mat, M) >= obs_sum))
-    else:  # Hoeffding's D, compared on exact integer numerators
-        if n < 5:
-            raise SizeError(f"Hoeffding's D needs n >= 5, got {n}")
-        rx = compute_ranks(s.x)
-        ry = compute_ranks(s.y)
-        obs_num = hoeffding_numerator(rx, ry)
-        statistic = obs_num / hoeffding_denominator(n)
-        identity = np.arange(1, n + 1, dtype=np.int64)
-        exceed = 0
-        for mat in _permutation_batches(rng, n, cfg.B):
-            for row in mat:
-                if hoeffding_numerator(identity, row.astype(np.int64)) >= obs_num:
-                    exceed += 1
+    exceed = 0
+    for mat in _permutation_batches(rng, n, cfg.B):
+        exceed += int(np.count_nonzero(spec.score(mat, cfg.M) >= observed))
     p_value = (1 + exceed) / (1 + cfg.B)
     return TestResult(
         statistic=statistic,
@@ -271,11 +237,7 @@ def replicate_statistic_from_permutation(r: Sequence[int], M: int) -> float:
     Under the identity x-order the m-th right neighbor of index i is i+m (or
     i itself past the end), so the coefficient is evaluated with no sorting.
     """
-    arr = np.asarray(r, dtype=np.int64)
-    if not is_rank_permutation(arr):
-        raise SizeError("r must be a permutation of 1..n")
-    M = validate_neighbor_count(arr.size, M)
-    return xi_from_min_sum(min_rank_sum(arr, M), arr.size, M)
+    return xi_nm_from_ranks(r, None, M).value
 
 
 def permutation_test_fast_path_equivalence(r: Sequence[int], M: int) -> tuple[float, float]:

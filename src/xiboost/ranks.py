@@ -178,10 +178,30 @@ def sorted_y_ranks(s: Sample) -> np.ndarray:
 
     This one array drives every rank statistic here: the m-th right neighbor
     of the element at sorted position p sits at position p+m.
+
+    Unstable sorts give the same ranks on tie-free data; a tie is reported
+    by :func:`x_order` or :func:`compute_ranks`, so the named pair stays put.
     """
-    ord_ = x_order(s.x)
-    r = compute_ranks(s.y)
-    return r[ord_.order]
+    ox = np.argsort(s.x)
+    xs = s.x[ox]
+    if (xs[1:] == xs[:-1]).any():
+        x_order(s.x)
+    ys = s.y[ox]
+    oy = np.argsort(ys)
+    ys = ys[oy]
+    if (ys[1:] == ys[:-1]).any():
+        compute_ranks(s.y)
+    rs = np.empty(s.n, dtype=np.int64)
+    rs[oy] = np.arange(1, s.n + 1)
+    return rs
+
+
+def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
+    """(start, stop) chunks of `total` rows of width `n`, at most 2e6 cells
+    (or one row) each to bound batch memory. Depends only on (n, total), never
+    on the worker count."""
+    rows = max(1, 2_000_000 // max(n, 1))
+    return [(start, min(total, start + rows)) for start in range(0, total, rows)]
 
 
 def validate_neighbor_count(n: int, M: int) -> int:

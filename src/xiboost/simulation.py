@@ -20,6 +20,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from .coefficients import (
+    METHODS,
     Method,
     batch_min_rank_sums,
     gaussian_population_xi,
@@ -35,11 +36,12 @@ from .inference import (
     permutation_test,
 )
 from .power import sample_rotation
-from .ranks import derive_rng, derive_seed, validate_neighbor_count
+from .ranks import derive_rng, derive_seed, row_chunks, validate_neighbor_count
 
 SCHEMA_VERSION = 1
 
-M_FREE_METHODS = (Method.PEARSON, Method.HOEFFDING_D)
+# the permutation-testable methods, and Pearson's r by its parametric t-test
+POWER_METHODS = tuple(m for m in Method if METHODS[m].score is not None) + (Method.PEARSON,)
 
 
 @dataclass(frozen=True)
@@ -68,6 +70,11 @@ class PowerStudyConfig:
         for name in ("n_values", "M_values", "rho0_values", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
+        for method in self.methods:
+            if method not in POWER_METHODS:
+                raise ConfigError(
+                    f"method {method.value} has no test for a power study; choose from "
+                    + ",".join(m.value for m in POWER_METHODS))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.B < 1:
@@ -105,7 +112,7 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
 def _power_cells(cfg: PowerStudyConfig) -> list:
     cells = []
     for method in cfg.methods:
-        m_grid: tuple = (None,) if method in M_FREE_METHODS else cfg.M_values
+        m_grid: tuple = cfg.M_values if METHODS[method].needs_m else (None,)
         for n in cfg.n_values:
             for M in m_grid:
                 for rho0 in cfg.rho0_values:
@@ -124,10 +131,7 @@ def _power_task(args) -> int:
             result = pearson_test(s, alpha)
         else:
             test_seed = derive_seed(master_seed, cell_idx, rep_idx, 1)
-            cfg = PermutationTestConfig(
-                B=B, alpha=alpha, seed=test_seed, method=method,
-                M=None if method in M_FREE_METHODS else M,
-            )
+            cfg = PermutationTestConfig(B=B, alpha=alpha, seed=test_seed, method=method, M=M)
             result = permutation_test(s, cfg)
         return int(result.reject)
     except XiBoostError as exc:
@@ -175,12 +179,6 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
 # null calibration
 
 
-def _replicate_chunks(total: int, n: int) -> list:
-    """Fixed chunking rule (independent of worker count) for batched kernels."""
-    chunk = max(1, min(total, 2_000_000 // max(n, 1)))
-    return [(start, min(total, start + chunk)) for start in range(0, total, chunk)]
-
-
 def _null_chunk_task(args) -> np.ndarray:
     (n, M, seed, start, stop) = args
     rows = np.empty((stop - start, n), dtype=np.int32)
@@ -204,7 +202,7 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     if replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
     M = validate_neighbor_count(n, M)
-    tasks = [(n, M, seed, start, stop) for start, stop in _replicate_chunks(replicates, n)]
+    tasks = [(n, M, seed, start, stop) for start, stop in row_chunks(n, replicates)]
     values = np.concatenate(_map_tasks(_null_chunk_task, tasks, workers))
     var_asym = null_variance_asymptotic(n, M)
     variance = float(values.var(ddof=1))
@@ -259,7 +257,7 @@ def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
     tasks = []
     cell_task_counts = []
     for ci, (rho, n, M) in enumerate(cells):
-        chunks = _replicate_chunks(replicates, n)
+        chunks = row_chunks(n, replicates)
         cell_task_counts.append(len(chunks))
         tasks.extend((ci, rho, n, M, seed, start, stop) for start, stop in chunks)
     results = _map_tasks(_consistency_chunk_task, tasks, workers)

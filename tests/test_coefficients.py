@@ -31,8 +31,42 @@ from xiboost import (
     xi_nm_reflected,
     xi_pm,
 )
-from xiboost.coefficients import min_rank_sum, symmetric_min_sum, xi_fraction_from_min_sum
+from xiboost.coefficients import (
+    batch_min_rank_sums,
+    batch_symmetric_min_sums,
+    min_rank_sum,
+    symmetric_min_sum,
+    xi_fraction_from_min_sum,
+)
 from xiboost.ranks import compute_ranks, derive_rng, sorted_y_ranks
+
+
+def right_neighbor_brute(v, M):
+    """Sum over p and m = 1..M of min(v[p], v[p+m]), or v[p] past the end."""
+    n = len(v)
+    return sum(min(v[p], v[p + m]) if p + m < n else v[p]
+               for p in range(n) for m in range(1, M + 1))
+
+
+def symmetric_brute(v, M):
+    """Literal construction of each position's M nearest positions (ties to
+    the right, edges shift inward), summing the min ranks."""
+    n = len(v)
+    total = 0
+    for p in range(n):
+        left, right = 1, 1
+        chosen = []
+        for _ in range(M):
+            left_ok = p - left >= 0
+            right_ok = p + right <= n - 1
+            if right_ok and (not left_ok or right <= left):
+                chosen.append(p + right)
+                right += 1
+            else:
+                chosen.append(p - left)
+                left += 1
+        total += sum(min(v[p], v[q]) for q in chosen)
+    return total
 
 
 def random_sample(rng, n):
@@ -153,31 +187,12 @@ class TestSymmetricNN:
     def test_against_two_pointer_oracle(self):
         """The span decomposition must reproduce a literal construction of the
         M nearest positions (ties to the right, edges shift inward)."""
-
-        def brute(v, M):
-            n = len(v)
-            total = 0
-            for p in range(n):
-                left, right = 1, 1
-                chosen = []
-                for _ in range(M):
-                    left_ok = p - left >= 0
-                    right_ok = p + right <= n - 1
-                    if right_ok and (not left_ok or right <= left):
-                        chosen.append(p + right)
-                        right += 1
-                    else:
-                        chosen.append(p - left)
-                        left += 1
-                total += sum(min(v[p], v[q]) for q in chosen)
-            return total
-
         rng = derive_rng(14)
         for _ in range(150):
             n = int(rng.integers(2, 30))
             M = int(rng.integers(1, n))
             v = (rng.permutation(n) + 1).astype(np.int64)
-            assert symmetric_min_sum(v, M) == brute(v.tolist(), M), (n, M, v)
+            assert symmetric_min_sum(v, M) == symmetric_brute(v.tolist(), M), (n, M, v)
 
     def test_m1_pairs_right_except_largest(self):
         rng = derive_rng(15)
@@ -185,6 +200,37 @@ class TestSymmetricNN:
         rs = sorted_y_ranks(s)
         expected = sum(min(rs[p], rs[p + 1]) for p in range(11)) + min(rs[11], rs[10])
         assert symmetric_nn_sum(s, 1).value == float(expected)
+
+
+class TestBatchKernels:
+    """The batch kernels are the only min-rank kernels; check them row by row
+    against brute-force Python sums."""
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_against_brute_force(self, dtype):
+        rng = derive_rng(16)
+        shapes = [(2, 1), (3, 2), (7, 6)]
+        for _ in range(40):
+            n = int(rng.integers(2, 40))
+            shapes.append((n, int(rng.integers(1, n))))
+        for n, M in shapes:
+            rows = np.array([rng.permutation(n) + 1 for _ in range(3)], dtype=dtype)
+            direct, reflected = batch_min_rank_sums(rows, M)
+            symmetric = batch_symmetric_min_sums(rows, M)
+            for k, row in enumerate(rows.tolist()):
+                flipped = [n + 1 - r for r in row]
+                assert direct[k] == right_neighbor_brute(row, M), (n, M, row)
+                assert reflected[k] == right_neighbor_brute(flipped, M), (n, M, row)
+                assert symmetric[k] == symmetric_brute(row, M), (n, M, row)
+
+    def test_scalar_wrappers_are_one_row_batches(self):
+        rng = derive_rng(17)
+        for _ in range(30):
+            n = int(rng.integers(2, 60))
+            M = int(rng.integers(1, n))
+            rs = rng.permutation(n) + 1
+            assert min_rank_sum(rs, M) == batch_min_rank_sums(rs[None], M)[0][0]
+            assert symmetric_min_sum(rs, M) == batch_symmetric_min_sums(rs[None], M)[0]
 
 
 class TestPearson:

@@ -26,6 +26,7 @@ from xiboost import (
     replicate_statistic_from_permutation,
     sample_rotation,
 )
+from xiboost.coefficients import METHODS
 
 
 def monotone_sample(n):
@@ -53,6 +54,13 @@ class TestConfigValidation:
     def test_unsupported_method(self):
         with pytest.raises(ConfigError):
             PermutationTestConfig(B=9, alpha=0.05, seed=1, method=Method.PEARSON)
+
+    def test_every_method_has_a_table_entry(self):
+        assert set(METHODS) == set(Method)
+
+    def test_method_given_by_name(self):
+        cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method="symmetric-nn", M=2)
+        assert cfg.method is Method.SYMMETRIC_NN
 
 
 class TestPermutationTest:
@@ -123,6 +131,22 @@ class TestPermutationTest:
         cfg = PermutationTestConfig(B=99, alpha=0.05, seed=10, method=Method.HOEFFDING_D)
         res = permutation_test(s, cfg)
         assert res.reject and res.p_value == pytest.approx(1 / 100)
+
+    @pytest.mark.parametrize("method, n, M, B, rho, statistic_hex, p_value", [
+        (Method.XI_PM, 200, 20, 199, 0.15, "0x1.dd0a96f059c40p-5", 0.02),
+        (Method.SYMMETRIC_NN, 200, 10, 199, 0.15, "0x1.04ca000000000p+17", 0.645),
+        (Method.HOEFFDING_D, 200, None, 49, 0.15, "0x1.e665b21b7ce35p-12", 0.04),
+        # rows of 2500 ranks: the null is drawn in two chunks
+        (Method.XI_PM, 2500, 5, 999, 0.0, "0x1.04e4635900200p-7", 0.106),
+    ])
+    def test_pinned_results(self, method, n, M, B, rho, statistic_hex, p_value):
+        """Statistic bits and p-value are pinned, so a kernel, chunking or
+        draw change that alters any result fails here."""
+        s = sample_rotation(derive_rng(2026, n), n, rho)
+        cfg = PermutationTestConfig(B=B, alpha=0.05, seed=11, method=method, M=M)
+        res = permutation_test(s, cfg)
+        assert res.statistic.hex() == statistic_hex
+        assert res.p_value == p_value
 
     def test_size_by_enumeration_n4(self):
         """All 24 rank configurations at n=4 are equally likely under the

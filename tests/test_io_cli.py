@@ -223,6 +223,16 @@ class TestCli:
         report = report_from_json(out.read_text())
         assert report.kind == "power" and report.rows[0]["replicates"] == 4
 
+    def test_power_study_untestable_method_exits_1_before_pool(self, monkeypatch, capsys):
+        def no_study(cfg):
+            raise AssertionError("the study started")
+
+        monkeypatch.setattr("xiboost.cli.power_study", no_study)
+        rc = cli_dispatch(["power-study", "--methods", "xi-nm", "--workers", "2",
+                           "--seed", "1"])
+        assert rc == 1
+        assert "xi-nm" in capsys.readouterr().err
+
     def test_null_calibration_cli_csv(self, tmp_path):
         out = tmp_path / "null.csv"
         rc = cli_dispatch(["null-calibration", "--n", "100", "-M", "3",

@@ -220,6 +220,39 @@ class TestSample:
         # ascending x visits y = 30, 20, 10 whose ranks are 3, 2, 1
         assert sorted_y_ranks(s).tolist() == [3, 2, 1]
 
+    @staticmethod
+    def tie_of(fn, *args):
+        with pytest.raises(TieError) as exc:
+            fn(*args)
+        e = exc.value
+        return e.index_a, e.index_b, e.value, e.coordinate
+
+    def test_sorted_y_ranks_x_tie_names_lowest_stable_pair(self):
+        assert self.tie_of(sorted_y_ranks, Sample([2.0, 1.0, 1.0, 1.0, 0.0], np.arange(5.0))) \
+            == (1, 2, 1.0, "x")
+        # many tie groups of three or more: the smallest tied value, at its
+        # two lowest indices
+        rng = np.random.default_rng(5)
+        x = np.round(rng.standard_normal(300), 1)
+        values, counts = np.unique(x, return_counts=True)
+        v = values[counts > 1][0]
+        i, j = np.flatnonzero(x == v)[:2]
+        assert self.tie_of(sorted_y_ranks, Sample(x, rng.standard_normal(300))) \
+            == (i, j, v, "x")
+
+    def test_sorted_y_ranks_y_tie_matches_compute_ranks(self):
+        rng = np.random.default_rng(6)
+        for y in ([2.0, 1.0, 1.0, 1.0, 0.0], np.round(rng.standard_normal(300), 1)):
+            s = Sample(rng.standard_normal(len(y)), y)
+            assert self.tie_of(sorted_y_ranks, s) == self.tie_of(compute_ranks, s.y)
+
+    @given(st.permutations(list(range(40))), st.permutations(list(range(40))))
+    def test_sorted_y_ranks_matches_definition(self, px, py):
+        x = np.array(px, dtype=np.float64)
+        y = np.array(py, dtype=np.float64) * 0.5
+        assert sorted_y_ranks(Sample(x, y)).tolist() == \
+            (compute_ranks(y)[x_order(x).order]).tolist()
+
 
 class TestSeedDerivation:
     def test_distinct_keys_distinct_seeds(self):

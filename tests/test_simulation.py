@@ -79,6 +79,12 @@ class TestPowerStudy:
             PowerStudyConfig(n_values=[10], M_values=[1], rho0_values=[0.0],
                              methods=["no-such-method"])
 
+    @pytest.mark.parametrize("method", ["xi-nm", "xi-classic", "xi-nm-reflected"])
+    def test_untestable_method_rejected_in_config(self, method):
+        with pytest.raises(ConfigError, match=method):
+            PowerStudyConfig(n_values=[10], M_values=[1], rho0_values=[0.0],
+                             methods=["xi-pm", method])
+
 
 class TestNullCalibrationStudy:
     def test_moments_close_to_theory(self):
