@@ -61,7 +61,7 @@ def _resolve_seed(parser: argparse.ArgumentParser, args) -> int:
 
 
 def _load(args, seed: Optional[int]):
-    sample = dataio.load_sample(args.data, allow_ties=args.jitter)
+    sample = dataio.load_sample(args.data)
     if args.jitter:
         if seed is None:
             raise ConfigError("--jitter needs a seed")
@@ -79,13 +79,7 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_report(args, report: StudyReport) -> None:
-    fmt = args.format
-    if fmt is None and getattr(args, "output", None):
-        fmt = "csv" if str(args.output).lower().endswith(".csv") else "json"
-    if fmt is None:
-        fmt = "json"
-    text = dataio.report_to_csv(report) if fmt == "csv" else dataio.report_to_json(report)
-    _emit(args, text)
+    _emit(args, dataio.format_report(report, args.output, args.format))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("data", help="two-column CSV (comma or tab)")
             p.add_argument("--jitter", action="store_true",
-                           help="break ties with seeded noise of 1e-9 x range")
+                           help="break ties: spread tied values in seeded random order")
         if seed:
             p.add_argument("--seed", type=int, default=None,
                            help=f"RNG seed (fallback: ${SEED_ENV_VAR})")

@@ -28,7 +28,6 @@ from .errors import DegenerateError, RhoRangeError, SizeError
 from .ranks import (
     Sample,
     XOrder,
-    compute_ranks,
     is_rank_permutation,
     row_chunks,
     sorted_y_ranks,
@@ -288,16 +287,16 @@ def hoeffding_denominator(n: int) -> int:
 
 
 def hoeffding_d(s: Sample) -> CoefficientValue:
-    """Hoeffding's dependence statistic from coordinate ranks and quadrant counts.
+    """Hoeffding's dependence statistic from y-ranks in ascending-x order
+    (x-ranks 1..n) and quadrant counts, like its permutation score.
 
     Unscaled convention: the population functional ranges over [-1/60, 1/30],
     with 0 under independence. Requires tie-free data and n >= 5.
     """
     if s.n < 5:
         raise SizeError(f"Hoeffding's D needs n >= 5, got {s.n}")
-    rx = compute_ranks(s.x)
-    ry = compute_ranks(s.y)
-    value = hoeffding_numerator(rx, ry) / hoeffding_denominator(s.n)
+    rx = np.arange(1, s.n + 1, dtype=np.int64)
+    value = hoeffding_numerator(rx, sorted_y_ranks(s)) / hoeffding_denominator(s.n)
     return CoefficientValue(value=value, method=Method.HOEFFDING_D, n=s.n)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import ParseError, SizeError
-from .ranks import Sample, _check_no_ties
+from .ranks import Sample
 from .simulation import StudyReport
 
 import numpy as np
@@ -22,14 +22,14 @@ def _parse_float(token: str) -> float:
     return float(token.strip())
 
 
-def load_sample(path: Union[str, Path], allow_ties: bool = False) -> Sample:
+def load_sample(path: Union[str, Path]) -> Sample:
     """Read a two-column numeric file into a Sample.
 
     The delimiter (comma or tab) is taken from the first nonblank line; that
     line is treated as a header when none of its fields parse as numbers.
-    Rows keep file order. Unless `allow_ties` is set, tied values in either
-    column are rejected here so the error points at the file, not at a later
-    statistic call.
+    Rows keep file order, and tied rows are kept: a rank statistic rejects a
+    tie, naming the coordinate and the two lowest 0-based data rows, while
+    Pearson's r accepts it.
     """
     text = Path(path).read_text()
     xs: list[float] = []
@@ -69,11 +69,7 @@ def load_sample(path: Union[str, Path], allow_ties: bool = False) -> Sample:
         ys.append(row[1])
     if len(xs) < 2:
         raise SizeError(f"need at least 2 data rows, found {len(xs)}")
-    sample = Sample(np.asarray(xs), np.asarray(ys))
-    if not allow_ties:
-        for name, arr in (("x", sample.x), ("y", sample.y)):
-            _check_no_ties(arr, np.argsort(arr, kind="stable"), name)
-    return sample
+    return Sample(np.asarray(xs), np.asarray(ys))
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +163,16 @@ def report_from_csv(text: str) -> StudyReport:
     return StudyReport(kind=kind, meta=meta, rows=rows, schema_version=schema_version)
 
 
-def write_report(report: StudyReport, path: Union[str, Path], fmt: str = None) -> None:
-    """Serialize to `path`; format from `fmt` or the file extension (.csv/.json)."""
-    path = Path(path)
+def format_report(report: StudyReport, path=None, fmt: str = None) -> str:
+    """Serialize as `fmt` ("csv" or "json"), else as csv for a .csv `path`, else json."""
     if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "json"
-    text = report_to_csv(report) if fmt == "csv" else report_to_json(report)
-    path.write_text(text)
+        fmt = "csv" if path is not None and Path(path).suffix.lower() == ".csv" else "json"
+    return report_to_csv(report) if fmt == "csv" else report_to_json(report)
+
+
+def write_report(report: StudyReport, path: Union[str, Path], fmt: str = None) -> None:
+    """Write to `path` in the format :func:`format_report` picks."""
+    Path(path).write_text(format_report(report, path, fmt))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ class NonFiniteError(XiBoostError):
 class TieError(XiBoostError):
     """Tied values found where a strict ordering is required.
 
-    Carries the 0-based positions of the first tied pair and the tied value.
+    Carries the smallest tied value, its two lowest 0-based positions and its coordinate.
     """
 
     def __init__(self, index_a: int, index_b: int, value: float, coordinate: str = ""):

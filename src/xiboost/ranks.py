@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import DegenerateError, MRangeError, NonFiniteError, SizeError, TieError
 
-JITTER_SCALE = 1e-9
-
-
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (master_seed, *key).
 
@@ -45,15 +42,18 @@ def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
-def _check_no_ties(arr: np.ndarray, order: np.ndarray, coordinate: str) -> None:
-    if arr.size < 2:
-        return
+def _strict_order(arr: np.ndarray, coordinate: str) -> np.ndarray:
+    """Ascending order of `arr`; a tie raises :class:`TieError` naming the
+    smallest tied value at its two lowest indices, found by a stable re-sort
+    made only then."""
+    order = np.argsort(arr)
     srt = arr[order]
     eq = srt[1:] == srt[:-1]
     if eq.any():
         p = int(np.flatnonzero(eq)[0])
-        i, j = sorted((int(order[p]), int(order[p + 1])))
-        raise TieError(i, j, float(srt[p]), coordinate)
+        order = np.argsort(arr, kind="stable")
+        raise TieError(int(order[p]), int(order[p + 1]), float(srt[p]), coordinate)
+    return order
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ class Sample:
     """Paired observations (x_i, y_i), the universal input.
 
     Coordinates must be finite, one-dimensional, and of equal length n >= 2.
-    Ties are not rejected at construction; rank operations raise
-    :class:`TieError` where a strict ordering is required. Use
-    :meth:`jittered` to resolve ties explicitly.
+    Ties are not rejected at construction: Pearson's r accepts them, and every
+    rank statistic raises :class:`TieError` through :func:`sorted_y_ranks`.
+    Use :meth:`jittered` to resolve ties explicitly.
     """
 
     x: np.ndarray
@@ -86,21 +86,29 @@ class Sample:
         return Sample(self.x, -self.y)
 
     def jittered(self, seed: int) -> "Sample":
-        """Tie-breaking copy: adds seeded uniform noise of magnitude
-        ``1e-9 * (max - min)`` to each coordinate.
-
-        The noise is small enough to leave distinct values in their original
-        order while breaking exact ties almost surely. A constant coordinate
-        cannot be rescued this way and raises :class:`DegenerateError`.
+        """Tie-breaking copy that moves only tied values: each group of equal
+        values, in seeded random order, is spread over equal steps inside half
+        the gap to the next larger distinct value (for the largest group, the
+        next smaller). Distinct values keep their order. A constant coordinate
+        raises :class:`DegenerateError`, a gap too narrow to hold the group as
+        distinct floats :class:`TieError`.
         """
         rng = derive_rng(seed, 0x71)
         cols = []
         for name, arr in (("x", self.x), ("y", self.y)):
-            span = float(arr.max() - arr.min())
-            if span == 0.0:
+            order = np.lexsort((rng.random(arr.size), arr))
+            srt = arr[order]
+            starts = np.flatnonzero(np.r_[True, srt[1:] != srt[:-1]])
+            if starts.size == 1:
                 raise DegenerateError(f"{name} is constant; jitter cannot define ranks")
-            cols.append(arr + rng.uniform(0.0, JITTER_SCALE * span, arr.size))
-        return Sample(cols[0], cols[1])
+            sizes = np.diff(np.r_[starts, arr.size])
+            half_gaps = np.diff(srt[starts] / 2)  # halved first: no overflow near 1e308
+            steps = np.repeat(np.r_[half_gaps, -half_gaps[-1]] / sizes, sizes)
+            col = arr.copy()
+            col[order] += (np.arange(arr.size) - np.repeat(starts, sizes)) * steps
+            _strict_order(col, name)
+            cols.append(col)
+        return Sample(*cols)
 
 
 @dataclass(frozen=True)
@@ -125,8 +133,7 @@ def compute_ranks(values: Sequence[float]) -> np.ndarray:
     Requires tie-free finite input; the result is a permutation of 1..n.
     """
     arr = _as_float_array(values, "values")
-    order = np.argsort(arr)
-    _check_no_ties(arr, order, "values")
+    order = _strict_order(arr, "values")
     ranks = np.empty(arr.size, dtype=np.int64)
     ranks[order] = np.arange(1, arr.size + 1)
     return ranks
@@ -135,8 +142,7 @@ def compute_ranks(values: Sequence[float]) -> np.ndarray:
 def x_order(x: Sequence[float]) -> XOrder:
     """Sorting permutation of x and its inverse; requires tie-free finite x."""
     arr = _as_float_array(x, "x")
-    order = np.argsort(arr, kind="stable").astype(np.int64)
-    _check_no_ties(arr, order, "x")
+    order = _strict_order(arr, "x")
     pos = np.empty(arr.size, dtype=np.int64)
     pos[order] = np.arange(arr.size)
     return XOrder(order=order, pos=pos)
@@ -179,18 +185,15 @@ def sorted_y_ranks(s: Sample) -> np.ndarray:
     This one array drives every rank statistic here: the m-th right neighbor
     of the element at sorted position p sits at position p+m.
 
-    Unstable sorts give the same ranks on tie-free data; a tie is reported
-    by :func:`x_order` or :func:`compute_ranks`, so the named pair stays put.
+    A tie raises :class:`TieError` for coordinate "x" or "y"; a y tie, found
+    in x order, is named by :func:`_strict_order` on ``s.y``.
     """
-    ox = np.argsort(s.x)
-    xs = s.x[ox]
-    if (xs[1:] == xs[:-1]).any():
-        x_order(s.x)
+    ox = _strict_order(s.x, "x")
     ys = s.y[ox]
     oy = np.argsort(ys)
     ys = ys[oy]
     if (ys[1:] == ys[:-1]).any():
-        compute_ranks(s.y)
+        _strict_order(s.y, "y")
     rs = np.empty(s.n, dtype=np.int64)
     rs[oy] = np.arange(1, s.n + 1)
     return rs

@@ -120,6 +120,11 @@ def _power_cells(cfg: PowerStudyConfig) -> list:
     return cells
 
 
+def _replicate_error(cell: str, key: tuple, exc: XiBoostError) -> StudyError:
+    """Name the failing cell, replicate and seed key (master_seed, cell, replicate)."""
+    return StudyError(f"cell ({cell}) replicate {key[2]}, seed key {key}: {exc}")
+
+
 def _power_task(args) -> int:
     (cell_idx, rep_idx, method_value, n, M, rho0, B, alpha, master_seed) = args
     method = Method(method_value)
@@ -135,10 +140,8 @@ def _power_task(args) -> int:
             result = permutation_test(s, cfg)
         return int(result.reject)
     except XiBoostError as exc:
-        raise StudyError(
-            f"cell (method={method.value}, n={n}, M={M}, rho0={rho0}) "
-            f"replicate {rep_idx}: {exc}"
-        ) from exc
+        raise _replicate_error(f"method={method.value}, n={n}, M={M}, rho0={rho0}",
+                               (master_seed, cell_idx, rep_idx), exc) from exc
 
 
 def power_study(cfg: PowerStudyConfig) -> StudyReport:
@@ -232,12 +235,13 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
 def _consistency_chunk_task(args) -> np.ndarray:
     (cell_idx, rho, n, M, seed, start, stop) = args
     out = np.empty(stop - start, dtype=np.float64)
-    try:
-        for k, rep in enumerate(range(start, stop)):
+    for k, rep in enumerate(range(start, stop)):
+        try:
             s = sample_rotation(derive_rng(seed, cell_idx, rep), n, rho)
             out[k] = xi_nm(s, M).value
-    except XiBoostError as exc:
-        raise StudyError(f"cell (rho={rho}, n={n}, M={M}): {exc}") from exc
+        except XiBoostError as exc:
+            raise _replicate_error(f"rho={rho}, n={n}, M={M}", (seed, cell_idx, rep),
+                                   exc) from exc
     return out
 
 

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The Monte Carlo criteria
-(05, 06, 07, 11) dominate the runtime; the whole suite takes roughly 15-25
-minutes on two cores.
+Run with `pytest -m acceptance -v -s`; `-m "not acceptance"` deselects it.
+The Monte Carlo criteria (05, 06, 07, 11) dominate the runtime; the whole
+suite takes about 7.5 minutes on a 2-vCPU host.
 """
 
 import itertools
@@ -34,6 +34,8 @@ from xiboost.simulation import (
     power_study,
     timing_study,
 )
+
+pytestmark = pytest.mark.acceptance
 
 WORKERS = 2
 

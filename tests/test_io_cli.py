@@ -63,13 +63,14 @@ class TestLoadSample:
         p.write_text("x,y\n\n1,2\n\n3,4\n\n")
         assert load_sample(p).n == 2
 
-    def test_ties_surface_value(self, tmp_path):
+    def test_ties_surface_value(self, tmp_path, capsys):
+        # the loader keeps tied rows; a rank statistic rejects them, Pearson's r does not
         p = tmp_path / "d.csv"
         p.write_text("1,5\n2,5\n3,6\n")
-        with pytest.raises(TieError) as exc:
-            load_sample(p)
-        assert exc.value.value == 5.0
-        assert load_sample(p, allow_ties=True).n == 3
+        assert load_sample(p).y.tolist() == [5.0, 5.0, 6.0]
+        assert cli_dispatch(["coef", "--method", "xi-nm", "-M", "1", str(p)]) == 1
+        assert str(TieError(0, 1, 5.0, "y")) in capsys.readouterr().err
+        assert cli_dispatch(["coef", "--method", "pearson", str(p)]) == 0
 
 
 class TestReportSerialization:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from xiboost import (
@@ -200,7 +200,7 @@ class TestSample:
         j = s.jittered(seed=11)
         compute_ranks(j.x)
         compute_ranks(j.y)
-        # distinct values keep their relative order under 1e-9-scale noise
+        # distinct values keep their relative order
         assert j.x[2] < j.x[3]
         assert j.y[3] < j.y[1]
 
@@ -214,6 +214,41 @@ class TestSample:
         s = Sample([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateError):
             s.jittered(seed=0)
+
+    def test_jitter_keeps_distinct_values_at_mixed_magnitudes(self):
+        x = [0.0, 1e-13, 2e-13, 1000.0, 500.0]
+        for seed in range(200):
+            assert Sample(x, [1.0, 2.0, 3.0, 4.0, 5.0]).jittered(seed).x.tolist() == x
+
+    def test_jitter_breaks_ties_at_large_magnitude(self):
+        j = Sample([1e10, 1e10, 1e10 + 1], [1.0, 2.0, 3.0]).jittered(1)
+        assert j.x[2] == 1e10 + 1
+        assert 1e10 <= min(j.x[:2]) < max(j.x[:2]) < 1e10 + 1
+        # a gap wider than the largest float
+        j = Sample([-1e308, -1e308, 1e308], [1.0, 2.0, 3.0]).jittered(1)
+        assert j.x[2] == 1e308 and -1e308 <= min(j.x[:2]) < max(j.x[:2]) < 0.0
+
+    def test_jitter_too_narrow_gap_names_tie(self):
+        s = Sample([1.0, np.nextafter(1.0, 2.0), 1.0, 1.0], [1.0, 2.0, 3.0, 4.0])
+        assert self.tie_of(s.jittered, 0) == (0, 2, 1.0, "x")
+
+    @given(st.lists(st.integers(-3, 3), min_size=2, max_size=30),
+           st.lists(st.integers(-3, 3), min_size=2, max_size=30),
+           st.sampled_from([1e-13, 1e-7, 1.0, 1e3, 1e10]),
+           st.integers(0, 2**32 - 1))
+    def test_jitter_moves_only_ties_and_keeps_order(self, kx, ky, scale, seed):
+        n = min(len(kx), len(ky))
+        assume(len(set(kx[:n])) > 1 and len(set(ky[:n])) > 1)
+        s = Sample(np.array(kx[:n]) * scale, np.array(ky[:n]) * scale)
+        j = s.jittered(seed)
+        for before, after in ((s.x, j.x), (s.y, j.y)):
+            assert np.unique(after).size == n
+            values, counts = np.unique(before, return_counts=True)
+            untied = np.isin(before, values[counts == 1])
+            assert (after[untied] == before[untied]).all()
+            order = np.sign(before[:, None] - before[None, :])
+            distinct = order != 0
+            assert (np.sign(after[:, None] - after[None, :])[distinct] == order[distinct]).all()
 
     def test_sorted_y_ranks(self):
         s = Sample([3.0, 1.0, 2.0], [10.0, 30.0, 20.0])
@@ -239,12 +274,6 @@ class TestSample:
         i, j = np.flatnonzero(x == v)[:2]
         assert self.tie_of(sorted_y_ranks, Sample(x, rng.standard_normal(300))) \
             == (i, j, v, "x")
-
-    def test_sorted_y_ranks_y_tie_matches_compute_ranks(self):
-        rng = np.random.default_rng(6)
-        for y in ([2.0, 1.0, 1.0, 1.0, 0.0], np.round(rng.standard_normal(300), 1)):
-            s = Sample(rng.standard_normal(len(y)), y)
-            assert self.tie_of(sorted_y_ranks, s) == self.tie_of(compute_ranks, s.y)
 
     @given(st.permutations(list(range(40))), st.permutations(list(range(40))))
     def test_sorted_y_ranks_matches_definition(self, px, py):

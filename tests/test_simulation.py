@@ -6,6 +6,7 @@ import pytest
 
 from xiboost import (
     ConfigError,
+    DegenerateError,
     MRangeError,
     PowerStudyConfig,
     StudyError,
@@ -15,6 +16,7 @@ from xiboost import (
     null_variance_asymptotic,
     power_study,
     timing_study,
+    xi_nm,
 )
 from xiboost.dataio import report_to_json
 
@@ -68,6 +70,13 @@ class TestPowerStudy:
         with pytest.raises(StudyError, match="hoeffding-d"):
             power_study(cfg)
 
+    def test_cell_failure_names_replicate_and_seed_key(self):
+        cfg = PowerStudyConfig(n_values=[4], M_values=[1], rho0_values=[0.0],
+                               methods=["hoeffding-d"], replicates=2, B=9,
+                               alpha=0.05, master_seed=1)
+        with pytest.raises(StudyError, match=r"replicate 0, seed key \(1, 0, 0\):"):
+            power_study(cfg)
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             PowerStudyConfig(n_values=[], M_values=[1], rho0_values=[0.0],
@@ -114,6 +123,21 @@ class TestConsistencyStudy:
         assert abs(rows[0.0]["mean"]) < 0.02
         assert abs(rows[0.5]["mean"] - rows[0.5]["population_xi"]) < 0.05
         assert rows[0.5]["q25"] <= rows[0.5]["median"] <= rows[0.5]["q75"]
+
+    def test_replicate_failure_names_replicate_and_seed_key(self, monkeypatch):
+        calls = []
+
+        def failing_xi_nm(s, M):
+            calls.append(M)
+            if len(calls) == 8:  # cell 1, replicate 2
+                raise DegenerateError("injected")
+            return xi_nm(s, M)
+
+        monkeypatch.setattr("xiboost.simulation.xi_nm", failing_xi_nm)
+        with pytest.raises(StudyError) as exc:
+            consistency_study([0.0, 0.3], [50], [2], replicates=5, seed=9, workers=1)
+        assert str(exc.value) == ("cell (rho=0.3, n=50, M=2) replicate 2, "
+                                  "seed key (9, 1, 2): injected")
 
     def test_deterministic_across_workers(self):
         a = consistency_study([0.3], [100], [2, 4], replicates=50, seed=5, workers=1)
