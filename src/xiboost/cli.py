@@ -168,18 +168,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_neighbors(parser, args, method: Method) -> None:
+    """-M is given exactly for the methods that take it."""
+    if METHODS[method].needs_m and args.neighbors is None:
+        parser.error(f"--method {args.method} requires -M")
+    if not METHODS[method].needs_m and args.neighbors is not None:
+        parser.error(f"--method {args.method} does not take -M")
+
+
 def _run_coef(parser, args) -> int:
     method = Method(args.method)
     seed = None
     if args.jitter:
         seed = _resolve_seed(parser, args)
     sample = _load(args, seed)
-    spec = METHODS[method]
-    if spec.needs_m and args.neighbors is None:
-        parser.error(f"--method {method.value} requires -M")
-    if not spec.needs_m and args.neighbors is not None:
-        parser.error(f"--method {method.value} does not take -M")
-    result = spec.coefficient(sample, args.neighbors)
+    _check_neighbors(parser, args, method)
+    result = METHODS[method].coefficient(sample, args.neighbors)
     if args.json:
         _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
     else:
@@ -192,21 +196,17 @@ def _run_test(parser, args) -> int:
     needs_seed = args.method in _PERMUTATION_CHOICES or args.jitter
     seed = _resolve_seed(parser, args) if needs_seed else args.seed
     sample = _load(args, seed)
+    # the normal-limit test is a test of xi-nm
+    method = Method.XI_NM if args.method == "xi-asymptotic" else Method(args.method)
+    _check_neighbors(parser, args, method)
     if args.method == "xi-asymptotic":
-        if args.neighbors is None:
-            parser.error("--method xi-asymptotic requires -M")
         result = asymptotic_test(sample, args.neighbors, args.alpha,
                                  override=args.override_regime)
     elif args.method == "pearson":
         result = pearson_test(sample, args.alpha)
     else:
-        method = Method(args.method)
-        needs_m = METHODS[method].needs_m
-        if needs_m and args.neighbors is None:
-            parser.error(f"--method {method.value} requires -M")
         cfg = PermutationTestConfig(
-            B=args.replicates, alpha=args.alpha, seed=seed, method=method,
-            M=args.neighbors if needs_m else None,
+            B=args.replicates, alpha=args.alpha, seed=seed, method=method, M=args.neighbors,
         )
         result = permutation_test(sample, cfg)
     payload = dataclasses.asdict(result)
@@ -329,3 +329,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(cli_dispatch())
+
+
+if __name__ == "__main__":
+    main()

@@ -21,8 +21,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr
 
 from .errors import DegenerateError, RhoRangeError, SizeError
 from .ranks import (
@@ -334,6 +332,9 @@ METHODS: dict[Method, MethodSpec] = {
 
 @lru_cache(maxsize=256)
 def _population_xi_value(rho: float, tol: float) -> float:
+    from scipy import integrate
+    from scipy.special import ndtr
+
     sig = math.sqrt(1.0 - rho * rho)
     sqrt2pi = math.sqrt(2.0 * math.pi)
 

@@ -8,8 +8,10 @@ significant digits and a decimal marker so numeric values re-parse exactly.
 from __future__ import annotations
 
 import json
+import re
+import warnings
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 from .errors import ParseError, SizeError
 from .ranks import Sample
@@ -17,9 +19,24 @@ from .simulation import StudyReport
 
 import numpy as np
 
+# Line breaks that str.splitlines honours and np.loadtxt does not: text holding
+# one of them is left to the line scanner.
+_SPLITLINES_ONLY_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# np.loadtxt decompresses a file whose name ends in one of these; the line
+# scanner reads every file as text.
+_LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
 
 def _parse_float(token: str) -> float:
     return float(token.strip())
+
+
+def _parses(token: str) -> bool:
+    try:
+        _parse_float(token)
+    except ValueError:
+        return False
+    return True
 
 
 def load_sample(path: Union[str, Path]) -> Sample:
@@ -30,7 +47,54 @@ def load_sample(path: Union[str, Path]) -> Sample:
     Rows keep file order, and tied rows are kept: a rank statistic rejects a
     tie, naming the coordinate and the two lowest 0-based data rows, while
     Pearson's r accepts it.
+
+    The rows after the header are parsed in one vectorized ``np.loadtxt``
+    pass. A line scanner reads the file instead whenever that pass fails or
+    could read the text differently: a wrong shape, fewer than 2 rows, a
+    whitespace-only line, a line break only ``str.splitlines`` knows, a name
+    ``np.loadtxt`` would decompress, or a path that is not a regular file (a
+    pipe can be read only once). The scanner gives the same values and is
+    the one source of the :class:`ParseError` line and column and of the
+    :class:`SizeError`, so a malformed file is read twice.
     """
+    sample = _load_vectorized(path)
+    return sample if sample is not None else _scan_sample(path)
+
+
+def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
+    """The sample from one ``np.loadtxt`` pass, or None where the scanner must decide."""
+    path = Path(path)
+    if not path.is_file() or path.suffix in _LOADTXT_DECOMPRESSED:
+        return None  # a pipe cannot be read twice
+    text = path.read_text()
+    first = re.search(r"\S", text)
+    if first is None or any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
+        return None
+    start = first.start()
+    end = text.find("\n", start)
+    if end < 0:
+        return None  # one nonblank line holds at most one row
+    line = text[start:end].strip()
+    delimiter = "\t" if "\t" in line else ","
+    header = not any(_parses(f) for f in line.split(delimiter))
+    skiprows = text.count("\n", 0, end + 1 if header else start)
+    del text  # np.loadtxt reads the file itself; hold no copy meanwhile
+    with warnings.catch_warnings():
+        # a header followed by blank lines only; the scanner raises SizeError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            table = np.loadtxt(path, dtype=np.float64, comments=None,
+                               delimiter=delimiter, skiprows=skiprows, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[1] != 2 or table.shape[0] < 2:
+        return None
+    x, y = table.T.copy()
+    return Sample(x, y)
+
+
+def _scan_sample(path: Union[str, Path]) -> Sample:
+    """Line-by-line reading of :func:`load_sample`'s format, naming the first bad cell."""
     text = Path(path).read_text()
     xs: list[float] = []
     ys: list[float] = []

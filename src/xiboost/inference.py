@@ -21,8 +21,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr
-from scipy.stats import t as student_t
 
 from .coefficients import (
     METHODS,
@@ -143,6 +141,8 @@ def asymptotic_test(s: Sample, M: int, alpha: float, override: bool = False) -> 
     M**4 <= n enforces a finite-sample proxy of that regime and can be
     overridden explicitly.
     """
+    from scipy.special import ndtr
+
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     n = s.n
@@ -168,6 +168,8 @@ def asymptotic_test(s: Sample, M: int, alpha: float, override: bool = False) -> 
 
 def pearson_test(s: Sample, alpha: float) -> TestResult:
     """Two-sided parametric t-test on the Pearson correlation."""
+    from scipy.stats import t as student_t
+
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     r = pearson_r(s).value

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import kstest
 
 from .coefficients import (
     METHODS,
@@ -202,6 +201,8 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     variance, and, in the normal-limit regime M**4 <= n, the KS distance of
     sqrt(nM) times the statistic from N(0, 2/5).
     """
+    from scipy.stats import kstest
+
     if replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
     M = validate_neighbor_count(n, M)

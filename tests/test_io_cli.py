@@ -1,10 +1,15 @@
 """Tests for dataset loading, report serialization, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from xiboost import ParseError, SizeError, TieError, beta_of_gamma
+import xiboost
+from xiboost import ParseError, SizeError, TieError, beta_of_gamma, xi_nm
 from xiboost.cli import cli_dispatch
 from xiboost.dataio import (
     load_sample,
@@ -184,6 +189,22 @@ class TestCli:
         big_m.write_text("1,2\n2,3\n3,1\n")
         assert cli_dispatch(["coef", "--method", "xi-nm", "-M", "5", str(big_m)]) == 1
 
+    @pytest.mark.parametrize("method", ["hoeffding-d", "pearson"])
+    def test_test_rejects_m_for_m_free_methods(self, data_file, capsys, method):
+        argv = ["test", "--method", method, "-B", "9", "--seed", "1", data_file]
+        assert cli_dispatch(argv[:3] + ["-M", "20"] + argv[3:]) == 2
+        assert f"--method {method} does not take -M" in capsys.readouterr().err
+        assert cli_dispatch(argv) == 0
+        assert json.loads(capsys.readouterr().out)["M"] is None
+
+    @pytest.mark.parametrize("method", ["xi-pm", "xi-asymptotic"])
+    def test_test_requires_m_for_m_methods(self, data_file, capsys, method):
+        argv = ["test", "--method", method, "-B", "9", "--seed", "1", data_file]
+        assert cli_dispatch(argv) == 2
+        assert f"--method {method} requires -M" in capsys.readouterr().err
+        assert cli_dispatch(argv[:3] + ["-M", "3"] + argv[3:]) == 0
+        assert json.loads(capsys.readouterr().out)["M"] == 3
+
     def test_jitter_resolves_ties(self, tmp_path, capsys):
         tied = tmp_path / "tied.csv"
         tied.write_text("1,5\n2,5\n3,6\n4,7\n")
@@ -259,3 +280,20 @@ class TestCli:
                            "-o", str(out)])
         assert rc == 0
         assert len(report_from_json(out.read_text()).rows) == 2
+
+
+@pytest.mark.parametrize("module", ["xiboost", "xiboost.cli"])
+def test_python_dash_m_runs_the_cli(module, data_file):
+    env = dict(os.environ, PYTHONPATH=str(Path(xiboost.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True)
+
+    ok = run("coef", "--method", "xi-nm", "-M", "3", data_file)
+    expected = xi_nm(load_sample(data_file), 3).value
+    assert (ok.returncode, ok.stdout) == (0, f"xi-nm = {expected!r} (n=100, M=3)\n")
+    assert run("coef", "--method", "xi-nm", "-M", "500", data_file).returncode == 1
+    assert run("coef", "--method", "xi-nm", data_file).returncode == 2
+    assert run("test", "--method", "xi-pm", "-M", "20", "-B", "99", "--seed", "42",
+               "--exit-on-reject", data_file).returncode == 3
