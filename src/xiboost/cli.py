@@ -178,11 +178,11 @@ def _check_neighbors(parser, args, method: Method) -> None:
 
 def _run_coef(parser, args) -> int:
     method = Method(args.method)
+    _check_neighbors(parser, args, method)
     seed = None
     if args.jitter:
         seed = _resolve_seed(parser, args)
     sample = _load(args, seed)
-    _check_neighbors(parser, args, method)
     result = METHODS[method].coefficient(sample, args.neighbors)
     if args.json:
         _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
@@ -193,12 +193,12 @@ def _run_coef(parser, args) -> int:
 
 
 def _run_test(parser, args) -> int:
-    needs_seed = args.method in _PERMUTATION_CHOICES or args.jitter
-    seed = _resolve_seed(parser, args) if needs_seed else args.seed
-    sample = _load(args, seed)
     # the normal-limit test is a test of xi-nm
     method = Method.XI_NM if args.method == "xi-asymptotic" else Method(args.method)
     _check_neighbors(parser, args, method)
+    needs_seed = args.method in _PERMUTATION_CHOICES or args.jitter
+    seed = _resolve_seed(parser, args) if needs_seed else args.seed
+    sample = _load(args, seed)
     if args.method == "xi-asymptotic":
         result = asymptotic_test(sample, args.neighbors, args.alpha,
                                  override=args.override_regime)

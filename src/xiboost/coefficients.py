@@ -27,7 +27,6 @@ from .ranks import (
     Sample,
     XOrder,
     is_rank_permutation,
-    row_chunks,
     sorted_y_ranks,
     validate_neighbor_count,
 )
@@ -249,35 +248,81 @@ def pearson_r(s: Sample) -> CoefficientValue:
     return CoefficientValue(value=value, method=Method.PEARSON, n=s.n)
 
 
-def _quadrant_counts(rx: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """c_i = #{j : rx_j < rx_i and ry_j < ry_i}, blockwise to bound memory."""
-    n = rx.size
-    c = np.empty(n, dtype=np.int64)
-    for lo, hi in row_chunks(n, n):
-        c[lo:hi] = (
-            (rx[None, :] < rx[lo:hi, None]) & (ry[None, :] < ry[lo:hi, None])
-        ).sum(axis=1)
-    return c
+# Largest n at which batch_hoeffding_numerators sums in int64; see its docstring.
+HOEFFDING_INT64_MAX_N = 7041
 
 
-def hoeffding_numerator(rx: np.ndarray, ry: np.ndarray) -> int:
-    """Exact integer numerator A - 2(n-2)B + (n-2)(n-3)C of the D statistic."""
-    n = rx.size
-    c = _quadrant_counts(rx, ry)
-    lx, ly, lc = rx.tolist(), ry.tolist(), c.tolist()
-    A = sum((a - 1) * (a - 2) * (b - 1) * (b - 2) for a, b in zip(lx, ly))
-    B = sum((a - 2) * (b - 2) * q for a, b, q in zip(lx, ly, lc))
-    C = sum(q * (q - 1) for q in lc)
-    return A - 2 * (n - 2) * B + (n - 2) * (n - 3) * C
+def _earlier_smaller_counts(rows: np.ndarray) -> np.ndarray:
+    """c[r, i] = #{j < i : rows[r, j] < rows[r, i]} for rows that are
+    permutations of 1..n, by bottom-up merge counting (Knight 1966) over all
+    rows at once: O(n log^2 n) per row.
+
+    Each row is padded with n+1..P up to P = 2^L; padding sits after every
+    real entry, so it adds to no real count. An entry is one key
+    (value-1) << (L+1) | count << 1 | origin, below 2^(2L+1), so sorting keys
+    sorts values and int32 holds them for L <= 15. At level w = 1, 2, ..., P/2
+    each 2w-block holds a sorted left run and a sorted right run; setting the
+    origin bit on the right run and sorting the block merges them. A right
+    entry then gains the left entries before it in the merged block: the left
+    entries before it in its row, less the w left entries of each earlier
+    block.
+    """
+    k, n = rows.shape
+    levels = max(n - 1, 0).bit_length()
+    P = 1 << levels
+    dt = np.int32 if 2 * levels + 1 < 32 else np.int64
+    keys = np.empty((k, P), dtype=dt)
+    keys[:, :n] = rows
+    keys[:, n:] = np.arange(n + 1, P + 1, dtype=dt)
+    keys -= 1
+    keys <<= levels + 1
+    col = np.arange(P, dtype=dt)
+    for lw in range(levels):
+        keys &= ~1
+        keys |= (col >> lw) & 1
+        keys.reshape(-1, 2 << lw).sort(axis=-1)
+        right = keys & 1
+        left_before = np.cumsum(right ^ 1, axis=1, dtype=dt)
+        left_before -= (col >> (lw + 1)) << lw
+        left_before *= right
+        keys += left_before << 1
+    by_value = (keys[:, :n] >> 1) & (P - 1)
+    return np.take_along_axis(by_value, rows.astype(np.intp) - 1, axis=1)
 
 
 def batch_hoeffding_numerators(rows: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`hoeffding_numerator` of y-rank rows in ascending-x order
-    (x-ranks 1..n; a sum over points, it ignores their order), as exact Python
-    integers in an object array."""
-    identity = np.arange(1, rows.shape[1] + 1, dtype=np.int64)
-    return np.array([hoeffding_numerator(identity, row.astype(np.int64)) for row in rows],
-                    dtype=object)
+    """Row-wise exact numerator A - 2(n-2)B + (n-2)(n-3)C of Hoeffding's D
+    for y-rank rows in ascending-x order, so the x-rank of position i is
+    a = i+1. With b the y-rank and c the count of earlier, smaller entries:
+    A = sum (a-1)(a-2)(b-1)(b-2), B = sum (a-2)(b-2)c, C = sum c(c-1).
+
+    Exactness: every term of A, B and C is >= 0 (c = 0 when a = 1 or b = 1)
+    and below n^4, so each partial sum is at most its row total. Each total is at most its
+    value on the identity row (b = a, c = a-1): for A by the rearrangement
+    inequality on the nondecreasing (a-1)(a-2) and (b-1)(b-2); for C since
+    c <= a-1; for B since c <= a-1 bounds a term by (a-1)(a-2)max(b-2, 0),
+    again a product of nondecreasing factors. The result is evaluated as
+    (A + (n-2)(n-3)C) - 2(n-2)B, so int64 is exact when the identity row's
+    A + (n-2)(n-3)C and 2(n-2)B are below 2^63. That holds up to
+    n = HOEFFDING_INT64_MAX_N = 7041 and fails at 7042; above it the same
+    sums run on Python ints (an object array).
+    """
+    n = rows.shape[1]
+    dt = np.int64 if n <= HOEFFDING_INT64_MAX_N else object
+    c = _earlier_smaller_counts(rows).astype(dt)
+    a = np.arange(1, n + 1, dtype=np.int64).astype(dt)
+    b = rows.astype(dt)
+    A = ((b - 1) * (b - 2)) @ ((a - 1) * (a - 2))
+    B = ((b - 2) * c) @ (a - 2)
+    C = (c * (c - 1)).sum(axis=1)
+    return A + (n - 2) * (n - 3) * C - 2 * (n - 2) * B
+
+
+def hoeffding_numerator(rx: np.ndarray, ry: np.ndarray) -> int:
+    """Exact integer numerator of the D statistic for x-ranks `rx` and
+    y-ranks `ry`; a one-row :func:`batch_hoeffding_numerators`."""
+    ry = np.asarray(ry)
+    return int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
 
 
 def hoeffding_denominator(n: int) -> int:
@@ -285,16 +330,17 @@ def hoeffding_denominator(n: int) -> int:
 
 
 def hoeffding_d(s: Sample) -> CoefficientValue:
-    """Hoeffding's dependence statistic from y-ranks in ascending-x order
-    (x-ranks 1..n) and quadrant counts, like its permutation score.
+    """Hoeffding's dependence statistic: the numerator of its y-ranks in
+    ascending-x order (x-ranks 1..n), the row its permutation test scores,
+    over n(n-1)(n-2)(n-3)(n-4) in one correctly rounded division.
 
     Unscaled convention: the population functional ranges over [-1/60, 1/30],
     with 0 under independence. Requires tie-free data and n >= 5.
     """
     if s.n < 5:
         raise SizeError(f"Hoeffding's D needs n >= 5, got {s.n}")
-    rx = np.arange(1, s.n + 1, dtype=np.int64)
-    value = hoeffding_numerator(rx, sorted_y_ranks(s)) / hoeffding_denominator(s.n)
+    numerator = int(batch_hoeffding_numerators(sorted_y_ranks(s)[None])[0])
+    value = numerator / hoeffding_denominator(s.n)
     return CoefficientValue(value=value, method=Method.HOEFFDING_D, n=s.n)
 
 

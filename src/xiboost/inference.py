@@ -110,7 +110,8 @@ def permutation_test(s: Sample, cfg: PermutationTestConfig) -> TestResult:
     The observed sample is scored as its one row of y-ranks in ascending-x
     order. Each replicate draws one uniform rank permutation and scores it as
     such a row (right neighbors are positions i+m, so no sorting is needed).
-    Cost is O(B n M) for the rank statistics, O(B n^2) for Hoeffding's D.
+    Cost is O(B n M) for the rank statistics and O(B n log^2 n) for
+    Hoeffding's D, whose merge counting runs on a whole batch of rows at once.
     """
     n = s.n
     spec = METHODS[cfg.method]

@@ -38,7 +38,7 @@ def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
         raise SizeError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         bad = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise NonFiniteError(f"{name}[{bad}] = {arr[bad]!r} is not finite")
+        raise NonFiniteError(f"{name}[{bad}] = {float(arr[bad])} is not finite")
     return arr
 
 

@@ -32,8 +32,13 @@ from xiboost import (
     xi_pm,
 )
 from xiboost.coefficients import (
+    HOEFFDING_INT64_MAX_N,
+    _earlier_smaller_counts,
+    batch_hoeffding_numerators,
     batch_min_rank_sums,
     batch_symmetric_min_sums,
+    hoeffding_denominator,
+    hoeffding_numerator,
     min_rank_sum,
     symmetric_min_sum,
     xi_fraction_from_min_sum,
@@ -67,6 +72,22 @@ def symmetric_brute(v, M):
                 left += 1
         total += sum(min(v[p], v[q]) for q in chosen)
     return total
+
+
+def hoeffding_brute(rx, ry):
+    """Numerator A - 2(n-2)B + (n-2)(n-3)C of Hoeffding's D from O(n^2)
+    quadrant counts c_i = #{j : rx_j < rx_i and ry_j < ry_i}, in Python ints."""
+    n = len(rx)
+    c = [sum(rx[j] < rx[i] and ry[j] < ry[i] for j in range(n)) for i in range(n)]
+    return hoeffding_from_counts(rx, ry, c)
+
+
+def hoeffding_from_counts(rx, ry, c):
+    n = len(rx)
+    A = sum((a - 1) * (a - 2) * (b - 1) * (b - 2) for a, b in zip(rx, ry))
+    B = sum((a - 2) * (b - 2) * q for a, b, q in zip(rx, ry, c))
+    C = sum(q * (q - 1) for q in c)
+    return A - 2 * (n - 2) * B + (n - 2) * (n - 3) * C
 
 
 def random_sample(rng, n):
@@ -277,6 +298,63 @@ class TestHoeffdingD:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             hoeffding_d(Sample([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]))
+
+
+# sizes around powers of two, where the merge counting pads rows
+_HOEFFDING_SIZES = st.one_of(st.integers(5, 70),
+                             st.sampled_from([7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65]))
+
+
+class TestHoeffdingKernel:
+    """The merge-counting kernel against O(n^2) quadrant counts, and its
+    int64 / Python-int split at HOEFFDING_INT64_MAX_N."""
+
+    @given(n=_HOEFFDING_SIZES, k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.int32, np.int64]))
+    @settings(max_examples=150, deadline=None)
+    def test_against_quadrant_counts(self, n, k, seed, dtype):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.permutation(n) + 1 for _ in range(k)], dtype=dtype)
+        identity = list(range(1, n + 1))
+        got = batch_hoeffding_numerators(rows)
+        assert [int(v) for v in got] == [hoeffding_brute(identity, row)
+                                         for row in rows.tolist()]
+        rx, ry = rng.permutation(n) + 1, rng.permutation(n) + 1
+        want = int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
+        assert hoeffding_numerator(rx, ry) == want == hoeffding_brute(rx.tolist(), ry.tolist())
+
+    def test_int64_bound_is_tight(self):
+        """The identity row maximizes A, B and C; its A + (n-2)(n-3)C and
+        2(n-2)B fit in int64 at the bound and not one past it."""
+        def fits(n):
+            A = sum(((i - 1) * (i - 2)) ** 2 for i in range(1, n + 1))
+            B = sum((i - 1) * (i - 2) ** 2 for i in range(1, n + 1))
+            C = sum((i - 1) * (i - 2) for i in range(1, n + 1))
+            return max(A + (n - 2) * (n - 3) * C, 2 * (n - 2) * B) < 2**63
+
+        assert fits(HOEFFDING_INT64_MAX_N) and not fits(HOEFFDING_INT64_MAX_N + 1)
+
+    @pytest.mark.parametrize("n", [HOEFFDING_INT64_MAX_N, HOEFFDING_INT64_MAX_N + 1])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_exact_on_both_sides_of_the_bound(self, n, reverse):
+        row = np.arange(n, 0, -1) if reverse else np.arange(1, n + 1)
+        counts = _earlier_smaller_counts(row[None])[0]
+        assert counts.tolist() == ([0] * n if reverse else list(range(n)))
+        got = batch_hoeffding_numerators(row[None])
+        assert got.dtype == (np.int64 if n <= HOEFFDING_INT64_MAX_N else object)
+        assert int(got[0]) == hoeffding_from_counts(list(range(1, n + 1)), row.tolist(),
+                                                    counts.tolist())
+
+    def test_d_divides_the_exact_numerator(self):
+        """At the bound the denominator exceeds 2**53, so a float-converted
+        numerator would round twice."""
+        n = HOEFFDING_INT64_MAX_N
+        rng = derive_rng(23)
+        for _ in range(10):
+            s = random_sample(rng, n)
+            exact = Fraction(int(batch_hoeffding_numerators(sorted_y_ranks(s)[None])[0]),
+                             hoeffding_denominator(n))
+            assert hoeffding_d(s).value == float(exact)
 
 
 class TestGaussianPopulationXi:

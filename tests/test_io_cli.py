@@ -181,6 +181,33 @@ class TestCli:
         assert cli_dispatch(["test", "--method", "xi-pm", "-M", "2", data_file]) == 2  # no seed
         assert cli_dispatch(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--method", "xi-pm"], "--method xi-pm requires -M"),
+        (["test", "--method", "hoeffding-d", "-M", "20"], "--method hoeffding-d does not take -M"),
+        (["coef", "--method", "xi-nm", "--jitter"], "--method xi-nm requires -M"),
+    ], ids=["test-xi-pm", "test-hoeffding-d", "coef-jitter"])
+    def test_m_misuse_wins_over_missing_seed(self, data_file, capsys, monkeypatch,
+                                             argv, message):
+        monkeypatch.delenv("XI_BOOST_SEED", raising=False)
+        assert cli_dispatch(argv + [data_file]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "--seed" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coef", "--method", "pearson", "-M", "3"], "does not take -M"),
+        (["coef", "--method", "xi-nm"], "requires -M"),
+        (["test", "--method", "xi-pm", "--seed", "1"], "requires -M"),
+    ], ids=["coef-pearson", "coef-xi-nm", "test-xi-pm"])
+    def test_m_misuse_exits_2_before_reading_data(self, tmp_path, capsys, argv, message):
+        assert cli_dispatch(argv + [str(tmp_path / "missing.csv")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_finite_value_message(self, tmp_path, capsys):
+        p = tmp_path / "inf.csv"
+        p.write_text("1,2\n3,inf\n4,5\n")
+        assert cli_dispatch(["coef", "--method", "xi-nm", "-M", "1", str(p)]) == 1
+        assert capsys.readouterr().err == "xiboost: error: y[1] = inf is not finite\n"
+
     def test_domain_errors_exit_1(self, tmp_path, capsys):
         tied = tmp_path / "tied.csv"
         tied.write_text("1,5\n2,5\n3,6\n")
