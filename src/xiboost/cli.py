@@ -232,7 +232,10 @@ def _power_config(parser, args) -> PowerStudyConfig:
             lk = key.lower()
             if lk not in casts:
                 raise ConfigError(f"unknown config key {key!r}")
-            settings[lk] = casts[lk](value)
+            try:
+                settings[lk] = casts[lk](value)
+            except ValueError as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from None
     def pick(flag, key, default):
         if flag is not None:
             return flag
@@ -321,7 +324,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown command {args.command!r}")
     except SystemExit as exc:  # parser.error inside handlers
         return int(exc.code or 0)
-    except XiBoostError as exc:
+    except (XiBoostError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"xiboost: error: {exc}", file=sys.stderr)
         return 1
     return 0

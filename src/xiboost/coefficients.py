@@ -6,7 +6,9 @@ platforms. Exact rational variants back the enumeration and extremal-identity
 checks.
 
 Each sum has one kernel over a batch of rank rows: a coefficient is a batch
-of one row, a permutation null a batch of drawn rows. :data:`METHODS` says
+of one row, a permutation null a batch of drawn rows. Every min-rank sum
+runs one pair-minimum loop over neighbor distances; symmetric-nn takes about
+M/2 full distances of it plus two windows M+1 wide. :data:`METHODS` says
 which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and which
 have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
 """
@@ -67,6 +69,16 @@ class PopulationXi:
 # integer kernels
 
 
+def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Row-wise int64 sum over d = first..last and positions p of min(row[p], row[p+d]);
+    the one pair-minimum loop under every min-rank kernel."""
+    n = rows.shape[1]
+    out = np.zeros(rows.shape[0], dtype=np.int64)
+    for d in range(first, last + 1):
+        out += np.minimum(rows[:, : n - d], rows[:, d:]).sum(axis=1, dtype=np.int64)
+    return out
+
+
 def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Min-rank sums of each row and of its rank reflection, in one pass.
 
@@ -79,10 +91,8 @@ def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     head and tail sums over m = 1..M are closed-form weighted sums, so only
     the pair minima need the loop. Exact int64 arithmetic throughout.
     """
-    k, n = rows.shape
-    pairs = np.zeros(k, dtype=np.int64)
-    for m in range(1, M + 1):
-        pairs += np.minimum(rows[:, : n - m], rows[:, m:]).sum(axis=1, dtype=np.int64)
+    n = rows.shape[1]
+    pairs = _pair_min_sums(rows, 1, M)
     # for m = 1..M, position n-M+j is among the last m entries j+1 times and
     # position j among the first m entries M-j times
     weights = np.arange(1, M + 1, dtype=np.int64)
@@ -97,41 +107,19 @@ def min_rank_sum(rs: np.ndarray, M: int) -> int:
     return int(batch_min_rank_sums(np.asarray(rs)[None], M)[0][0])
 
 
-def symmetric_neighbor_spans(n: int, M: int) -> list[tuple[int, int, int]]:
-    """Ordered-pair slice bounds for the symmetric M-nearest-neighbor rule.
-
-    Each position takes its M nearest positions in x-rank distance, preferring
-    the right side on distance ties, shifting inward at the edges. Every
-    (anchor, neighbor) incidence maps to exactly one unordered gap (q, q+d);
-    the returned triples (d, lo, hi) mean: positions q in [lo, hi) pair with
-    q+d. Incidences anchored on both sides of the same gap yield the gap
-    twice.
-    """
-    right_reach = (M + 1) // 2
-    left_reach = M // 2
-    spans: list[tuple[int, int, int]] = []
-    for d in range(1, M + 1):
-        # anchors taking their d-th right neighbor
-        if d <= right_reach:
-            spans.append((d, 0, n - d))
-        else:
-            spans.append((d, 0, M - d + 1))
-        # anchors taking their d-th left neighbor, re-expressed from the left end
-        if d <= left_reach:
-            spans.append((d, 0, n - d))
-        else:
-            spans.append((d, n - 1 - M, n - d))
-    return spans
-
-
 def batch_symmetric_min_sums(rows: np.ndarray, M: int) -> np.ndarray:
-    """Row-wise symmetric-neighbor min sums over the spans of
-    :func:`symmetric_neighbor_spans`. Exact int64 arithmetic."""
-    k, n = rows.shape
-    out = np.zeros(k, dtype=np.int64)
-    for d, lo, hi in symmetric_neighbor_spans(n, M):
-        out += np.minimum(rows[:, lo:hi], rows[:, lo + d:hi + d]).sum(axis=1, dtype=np.int64)
-    return out
+    """Row-wise int64 min-rank sums over each position's M nearest positions
+    in x-rank distance; distance ties go to the right, edges shift inward.
+    Every position takes its d-th right neighbor for d <= R = ceil(M/2) and
+    its d-th left one for d <= L = floor(M/2); the first M+1-d positions also
+    take a d-th right one for d > R, the last M+1-d a d-th left one for d > L.
+    With S = :func:`_pair_min_sums` the sum is therefore 2 S(rows, 1, L) +
+    S(rows, L+1, R) + S(first M+1 columns, R+1, M) + S(last M+1, L+1, M).
+    """
+    right, left = (M + 1) // 2, M // 2
+    return (2 * _pair_min_sums(rows, 1, left) + _pair_min_sums(rows, left + 1, right)
+            + _pair_min_sums(rows[:, : M + 1], right + 1, M)
+            + _pair_min_sums(rows[:, -(M + 1):], left + 1, M))
 
 
 def symmetric_min_sum(rs: np.ndarray, M: int) -> int:
@@ -146,7 +134,7 @@ def xi_denominator(n: int, M: int) -> int:
 
 
 def xi_from_min_sum(S: int, n: int, M: int) -> float:
-    """-2 + 24*S / denominator, as a single correctly rounded float division."""
+    """-2 + 24*S / denominator in one correctly rounded division (per entry of an array S)."""
     return -2.0 + (24 * S) / xi_denominator(n, M)
 
 

@@ -51,8 +51,8 @@ class DegenerateError(XiBoostError):
     """Degenerate input (e.g. a constant coordinate) for the requested statistic."""
 
 
-class ConfigError(XiBoostError):
-    """Invalid test or study configuration."""
+class ConfigError(XiBoostError, ValueError):
+    """Invalid test or study configuration; also a ValueError (a bad setting is a bad value)."""
 
 
 class StudyError(XiBoostError):

@@ -23,7 +23,7 @@ from .coefficients import (
     Method,
     batch_min_rank_sums,
     gaussian_population_xi,
-    xi_denominator,
+    xi_from_min_sum,
     xi_nm,
     xi_pm,
 )
@@ -65,15 +65,16 @@ class PowerStudyConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "M_values", tuple(int(m) for m in self.M_values))
         object.__setattr__(self, "rho0_values", tuple(float(r) for r in self.rho0_values))
-        object.__setattr__(self, "methods", tuple(Method(m) for m in self.methods))
+        methods = tuple(self.methods)
+        for name in methods:  # an unknown name, or a method without a test
+            if name not in POWER_METHODS:
+                raise ConfigError(
+                    f"method {getattr(name, 'value', name)} has no test for a power study; "
+                    "choose from " + ",".join(m.value for m in POWER_METHODS))
+        object.__setattr__(self, "methods", tuple(Method(m) for m in methods))
         for name in ("n_values", "M_values", "rho0_values", "methods"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be nonempty")
-        for method in self.methods:
-            if method not in POWER_METHODS:
-                raise ConfigError(
-                    f"method {method.value} has no test for a power study; choose from "
-                    + ",".join(m.value for m in POWER_METHODS))
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.B < 1:
@@ -188,8 +189,7 @@ def _null_chunk_task(args) -> np.ndarray:
         rows[k] = derive_rng(seed, rep).permutation(n)
     rows += 1
     direct, _ = batch_min_rank_sums(rows, M)
-    # same integer-sum-then-divide route as the scalar path, so values match it
-    return (24 * direct) / xi_denominator(n, M) - 2.0
+    return xi_from_min_sum(direct, n, M)
 
 
 def null_calibration_study(n: int, M: int, replicates: int, seed: int,

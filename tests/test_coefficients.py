@@ -230,7 +230,8 @@ class TestBatchKernels:
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     def test_against_brute_force(self, dtype):
         rng = derive_rng(16)
-        shapes = [(2, 1), (3, 2), (7, 6)]
+        # every shape up to n=10, where the edge windows overlap or span the row
+        shapes = [(n, M) for n in range(2, 11) for M in range(1, n)]
         for _ in range(40):
             n = int(rng.integers(2, 40))
             shapes.append((n, int(rng.integers(1, n))))

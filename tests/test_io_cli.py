@@ -282,6 +282,37 @@ class TestCli:
         assert rc == 1
         assert "xi-nm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["coef", "--method", "xi-nm", "-M", "2", "{missing}"],
+        ["test", "--method", "xi-pm", "-M", "2", "-B", "9", "--seed", "1", "{missing}"],
+        ["power-study", "--config", "{missing}"],
+        ["coef", "--method", "xi-nm", "-M", "2", "-o", "{missing}/out.txt", "{data}"],
+    ], ids=["coef-data", "test-data", "power-study-config", "output-dir"])
+    def test_unreadable_path_exits_1(self, tmp_path, data_file, capsys, argv):
+        missing = str(tmp_path / "no-such-dir")
+        argv = [a.format(missing=missing, data=data_file) for a in argv]
+        assert cli_dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("xiboost: error: ") and missing in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config, message", [
+        ("n-values=abc\n", "'n_values'"),
+        ("workers=x\n", "'workers'"),
+    ], ids=["n_values", "workers"])
+    def test_power_study_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(config + "seed=1\n")
+        assert cli_dispatch(["power-study", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("xiboost: error: config key " + message)
+
+    def test_power_study_unknown_method_exits_1(self, capsys):
+        assert cli_dispatch(["power-study", "--methods", "bogus", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "xiboost: error: method bogus has no test for a power study; choose from "
+            "xi-pm,symmetric-nn,hoeffding-d,pearson\n")
+
     def test_null_calibration_cli_csv(self, tmp_path):
         out = tmp_path / "null.csv"
         rc = cli_dispatch(["null-calibration", "--n", "100", "-M", "3",
