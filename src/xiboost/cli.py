@@ -48,6 +48,20 @@ def _float_list(text: str) -> list:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
+def _name_list(text: str) -> list:
+    return [tok.strip() for tok in text.split(",")]
+
+
+# power-study settings by lowercased config key: the PowerStudyConfig field,
+# which is also its flag's dest (except --seed), and the cast of a config value
+_POWER_SETTINGS = {
+    "n_values": ("n_values", _int_list), "m_values": ("M_values", _int_list),
+    "rho0_values": ("rho0_values", _float_list), "methods": ("methods", _name_list),
+    "replicates": ("replicates", int), "b": ("B", int), "alpha": ("alpha", float),
+    "seed": ("master_seed", int), "workers": ("workers", int),
+}
+
+
 def _resolve_seed(parser: argparse.ArgumentParser, args) -> int:
     if args.seed is not None:
         return args.seed
@@ -124,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--n-values", type=_int_list, default=None)
     pw.add_argument("--M-values", type=_int_list, default=None)
     pw.add_argument("--rho0-values", type=_float_list, default=None)
-    pw.add_argument("--methods", default=None,
+    pw.add_argument("--methods", type=_name_list, default=None,
                     help="comma list from: " + ",".join(m.value for m in POWER_METHODS))
     pw.add_argument("--replicates", type=int, default=None)
     pw.add_argument("-B", type=int, dest="B", default=None)
@@ -218,46 +232,26 @@ def _run_test(parser, args) -> int:
 
 
 def _power_config(parser, args) -> PowerStudyConfig:
-    settings: dict = {}
+    """Flags over config-file values over defaults. Only the grid defaults
+    live here; the rest are PowerStudyConfig's own."""
+    settings: dict = {"n_values": [1000], "M_values": [1, 20],
+                      "rho0_values": [0.0, 1.0, 2.0, 5.0], "methods": ["xi-pm"]}
     if args.config:
-        raw = dataio.parse_config_file(args.config)
-        casts = {
-            "n_values": _int_list, "m_values": _int_list,
-            "rho0_values": _float_list,
-            "methods": lambda v: [tok.strip() for tok in v.split(",")],
-            "replicates": int, "b": int, "alpha": float,
-            "seed": int, "workers": int,
-        }
-        for key, value in raw.items():
-            lk = key.lower()
-            if lk not in casts:
+        for key, value in dataio.parse_config_file(args.config).items():
+            if key.lower() not in _POWER_SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
+            field, cast = _POWER_SETTINGS[key.lower()]
             try:
-                settings[lk] = casts[lk](value)
+                settings[field] = cast(value)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
-    def pick(flag, key, default):
+    for field, _ in _POWER_SETTINGS.values():
+        flag = getattr(args, field, None)
         if flag is not None:
-            return flag
-        return settings.get(key, default)
-
-    methods = pick(args.methods, "methods", "xi-pm")
-    if isinstance(methods, str):
-        methods = [tok.strip() for tok in methods.split(",")]
-    seed = args.seed if args.seed is not None else settings.get("seed")
-    if seed is None:
-        seed = _resolve_seed(parser, args)
-    return PowerStudyConfig(
-        n_values=pick(args.n_values, "n_values", [1000]),
-        M_values=pick(args.M_values, "m_values", [1, 20]),
-        rho0_values=pick(args.rho0_values, "rho0_values", [0.0, 1.0, 2.0, 5.0]),
-        methods=methods,
-        replicates=pick(args.replicates, "replicates", 500),
-        B=pick(args.B, "b", 999),
-        alpha=pick(args.alpha, "alpha", 0.05),
-        master_seed=seed,
-        workers=pick(args.workers, "workers", 1),
-    )
+            settings[field] = flag
+    if args.seed is not None or "master_seed" not in settings:
+        settings["master_seed"] = _resolve_seed(parser, args)
+    return PowerStudyConfig(**settings)
 
 
 def _run_boundary(parser, args) -> int:

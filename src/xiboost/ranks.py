@@ -201,8 +201,10 @@ def sorted_y_ranks(s: Sample) -> np.ndarray:
 
 def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
     """(start, stop) chunks of `total` rows of width `n`, at most 2e6 cells
-    (or one row) each to bound batch memory. Depends only on (n, total), never
-    on the worker count."""
+    (or one row) each: the memory cap for code that builds a (k, n) batch
+    matrix. It is not a scheduling rule (pooled studies leave that to
+    `simulation._map_tasks`), and it depends only on (n, total), never on the
+    worker count."""
     rows = max(1, 2_000_000 // max(n, 1))
     return [(start, min(total, start + rows)) for start in range(0, total, rows)]
 

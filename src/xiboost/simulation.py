@@ -5,10 +5,17 @@ Every replicate derives its generator from (master seed, cell index,
 replicate index), never from worker identity, so reports are byte-identical
 for any worker count. Timing studies are the one exception: wall-clock
 medians are physical measurements and cannot be reproduced bitwise.
+
+Power and consistency studies run one pool task per replicate through
+`_run_replicates`. `_map_tasks` is the one scheduling rule: its pool
+chunksize alone decides how tasks are batched onto workers. Null calibration
+keeps `ranks.row_chunks`, the memory cap on the (k, n) rank matrix each of
+its tasks feeds to the batch kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 import time
@@ -72,9 +79,8 @@ class PowerStudyConfig:
                     f"method {getattr(name, 'value', name)} has no test for a power study; "
                     "choose from " + ",".join(m.value for m in POWER_METHODS))
         object.__setattr__(self, "methods", tuple(Method(m) for m in methods))
-        for name in ("n_values", "M_values", "rho0_values", "methods"):
-            if not getattr(self, name):
-                raise ConfigError(f"{name} must be nonempty")
+        _require_nonempty(n_values=self.n_values, M_values=self.M_values,
+                          rho0_values=self.rho0_values, methods=self.methods)
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
         if self.B < 1:
@@ -95,80 +101,78 @@ class StudyReport:
     schema_version: int = SCHEMA_VERSION
 
 
+def _require_nonempty(**grids) -> None:
+    for name, values in grids.items():
+        if len(values) == 0:
+            raise ConfigError(f"{name} must be nonempty")
+
+
 def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """Run tasks in submission order; results are position-aligned with tasks
-    so aggregation never depends on scheduling."""
-    if workers <= 1 or len(tasks) <= 1:
+    """The one scheduling rule for pooled studies: run tasks in submission order,
+    batched onto the pool by chunksize ceil(tasks / (workers * 8)). Results
+    are position-aligned with tasks, so aggregation never depends on
+    scheduling."""
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     chunksize = max(1, math.ceil(len(tasks) / (workers * 8)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
 
 
+def _replicate_task(args):
+    task, cell, key = args
+    try:
+        return task(cell, key)
+    except XiBoostError as exc:
+        where = ", ".join(f"{k}={v}" for k, v in cell.items())
+        raise StudyError(f"cell ({where}) replicate {key[2]}, seed key {key}: {exc}") from exc
+
+
+def _run_replicates(task, cells: list, replicates: int, master_seed: int,
+                    workers: int) -> list:
+    """`task(cell, key)` for every replicate of every cell, one pool task each,
+    with seed key (master_seed, cell index, replicate). Returns each cell's
+    results in replicate order; a failure names its cell, replicate and key."""
+    tasks = [(task, cell, (master_seed, ci, ri))
+             for ci, cell in enumerate(cells) for ri in range(replicates)]
+    results = _map_tasks(_replicate_task, tasks, workers)
+    return [results[ci * replicates:(ci + 1) * replicates] for ci in range(len(cells))]
+
+
 # ---------------------------------------------------------------------------
 # power study
 
 
-def _power_cells(cfg: PowerStudyConfig) -> list:
-    cells = []
-    for method in cfg.methods:
-        m_grid: tuple = cfg.M_values if METHODS[method].needs_m else (None,)
-        for n in cfg.n_values:
-            for M in m_grid:
-                for rho0 in cfg.rho0_values:
-                    cells.append((method, n, M, rho0))
-    return cells
-
-
-def _replicate_error(cell: str, key: tuple, exc: XiBoostError) -> StudyError:
-    """Name the failing cell, replicate and seed key (master_seed, cell, replicate)."""
-    return StudyError(f"cell ({cell}) replicate {key[2]}, seed key {key}: {exc}")
-
-
-def _power_task(args) -> int:
-    (cell_idx, rep_idx, method_value, n, M, rho0, B, alpha, master_seed) = args
-    method = Method(method_value)
-    try:
-        rho = rho0 / math.sqrt(n)
-        sample_rng = derive_rng(master_seed, cell_idx, rep_idx, 0)
-        s = sample_rotation(sample_rng, n, rho)
-        if method is Method.PEARSON:
-            result = pearson_test(s, alpha)
-        else:
-            test_seed = derive_seed(master_seed, cell_idx, rep_idx, 1)
-            cfg = PermutationTestConfig(B=B, alpha=alpha, seed=test_seed, method=method, M=M)
-            result = permutation_test(s, cfg)
-        return int(result.reject)
-    except XiBoostError as exc:
-        raise _replicate_error(f"method={method.value}, n={n}, M={M}, rho0={rho0}",
-                               (master_seed, cell_idx, rep_idx), exc) from exc
+def _power_replicate(B: int, alpha: float, cell: dict, key: tuple) -> int:
+    n, method = cell["n"], Method(cell["method"])
+    s = sample_rotation(derive_rng(*key, 0), n, cell["rho0"] / math.sqrt(n))
+    if method is Method.PEARSON:
+        return int(pearson_test(s, alpha).reject)
+    cfg = PermutationTestConfig(B=B, alpha=alpha, seed=derive_seed(*key, 1), method=method,
+                                M=cell["M"])
+    return int(permutation_test(s, cfg).reject)
 
 
 def power_study(cfg: PowerStudyConfig) -> StudyReport:
     """Rejection frequency per (method, n, M, rho0) cell over seeded replicates."""
-    cells = _power_cells(cfg)
-    for method, n, M, rho0 in cells:
-        if M is not None:
-            validate_neighbor_count(n, M)
-        if not abs(rho0 / math.sqrt(n)) < 1.0:
-            raise ConfigError(f"rho0={rho0} gives |rho| >= 1 at n={n}")
-    tasks = [
-        (ci, ri, method.value, n, M, rho0, cfg.B, cfg.alpha, cfg.master_seed)
-        for ci, (method, n, M, rho0) in enumerate(cells)
-        for ri in range(cfg.replicates)
-    ]
-    flags = _map_tasks(_power_task, tasks, cfg.workers)
-    rows = []
-    for ci, (method, n, M, rho0) in enumerate(cells):
-        cell_flags = flags[ci * cfg.replicates:(ci + 1) * cfg.replicates]
-        rows.append({
-            "method": method.value,
-            "n": n,
-            "M": M,
-            "rho0": rho0,
-            "rejection_frequency": sum(cell_flags) / cfg.replicates,
-            "replicates": cfg.replicates,
-        })
+    cells = [{"method": method.value, "n": n, "M": M, "rho0": rho0}
+             for method in cfg.methods
+             for n in cfg.n_values
+             for M in (cfg.M_values if METHODS[method].needs_m else (None,))
+             for rho0 in cfg.rho0_values]
+    for cell in cells:
+        if cell["M"] is not None:
+            validate_neighbor_count(cell["n"], cell["M"])
+        if not abs(cell["rho0"] / math.sqrt(cell["n"])) < 1.0:
+            raise ConfigError(f"rho0={cell['rho0']} gives |rho| >= 1 at n={cell['n']}")
+    task = functools.partial(_power_replicate, cfg.B, cfg.alpha)
+    flags = _run_replicates(task, cells, cfg.replicates, cfg.master_seed, cfg.workers)
+    rows = [{**cell,
+             "rejection_frequency": sum(cell_flags) / cfg.replicates,
+             "replicates": cfg.replicates}
+            for cell, cell_flags in zip(cells, flags)]
     meta = {
         "B": cfg.B,
         "alpha": cfg.alpha,
@@ -233,17 +237,8 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
 # consistency
 
 
-def _consistency_chunk_task(args) -> np.ndarray:
-    (cell_idx, rho, n, M, seed, start, stop) = args
-    out = np.empty(stop - start, dtype=np.float64)
-    for k, rep in enumerate(range(start, stop)):
-        try:
-            s = sample_rotation(derive_rng(seed, cell_idx, rep), n, rho)
-            out[k] = xi_nm(s, M).value
-        except XiBoostError as exc:
-            raise _replicate_error(f"rho={rho}, n={n}, M={M}", (seed, cell_idx, rep),
-                                   exc) from exc
-    return out
+def _consistency_replicate(cell: dict, key: tuple) -> float:
+    return xi_nm(sample_rotation(derive_rng(*key), cell["n"], cell["rho"]), cell["M"]).value
 
 
 def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
@@ -253,35 +248,26 @@ def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
     next to the population value it estimates."""
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    cells = [(float(rho), int(n), int(M))
+    _require_nonempty(rho_values=rho_values, n_values=n_values, M_values=M_values)
+    cells = [{"rho": float(rho), "n": int(n), "M": int(M)}
              for rho in rho_values for n in n_values for M in M_values]
-    for rho, n, M in cells:
-        validate_neighbor_count(n, M)
-        if not -1.0 < rho < 1.0:
-            raise ConfigError(f"rho={rho} outside (-1, 1)")
-    tasks = []
-    cell_task_counts = []
-    for ci, (rho, n, M) in enumerate(cells):
-        chunks = row_chunks(n, replicates)
-        cell_task_counts.append(len(chunks))
-        tasks.extend((ci, rho, n, M, seed, start, stop) for start, stop in chunks)
-    results = _map_tasks(_consistency_chunk_task, tasks, workers)
+    for cell in cells:
+        validate_neighbor_count(cell["n"], cell["M"])
+        if not -1.0 < cell["rho"] < 1.0:
+            raise ConfigError(f"rho={cell['rho']} outside (-1, 1)")
     rows = []
-    offset = 0
-    for ci, (rho, n, M) in enumerate(cells):
-        values = np.concatenate(results[offset:offset + cell_task_counts[ci]])
-        offset += cell_task_counts[ci]
+    for cell, results in zip(cells, _run_replicates(_consistency_replicate, cells,
+                                                    replicates, seed, workers)):
+        values = np.asarray(results, dtype=np.float64)
         q25, q50, q75 = np.quantile(values, [0.25, 0.5, 0.75])
         rows.append({
-            "rho": rho,
-            "n": n,
-            "M": M,
+            **cell,
             "replicates": replicates,
             "mean": float(values.mean()),
             "q25": float(q25),
             "median": float(q50),
             "q75": float(q75),
-            "population_xi": gaussian_population_xi(rho).xi,
+            "population_xi": gaussian_population_xi(cell["rho"]).xi,
         })
     return StudyReport(kind="consistency", meta={"master_seed": seed}, rows=rows)
 
@@ -301,6 +287,7 @@ def timing_study(n_values: Sequence[int], M_values: Sequence[int],
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    _require_nonempty(n_values=n_values, M_values=M_values)
     cells = [(int(n), int(M)) for n in n_values for M in M_values]
     for n, M in cells:
         validate_neighbor_count(n, M)

@@ -20,7 +20,7 @@ from xiboost.dataio import (
     report_to_json,
     write_report,
 )
-from xiboost.simulation import StudyReport
+from xiboost.simulation import PowerStudyConfig, StudyReport
 
 
 class TestLoadSample:
@@ -281,6 +281,44 @@ class TestCli:
                            "--seed", "1"])
         assert rc == 1
         assert "xi-nm" in capsys.readouterr().err
+
+    def test_power_study_config_defaults_and_precedence(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr("xiboost.cli.power_study", built.append)
+        monkeypatch.setattr("xiboost.cli._emit_report", lambda args, report: None)
+        assert cli_dispatch(["power-study", "--seed", "1"]) == 0
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("n-values=30,60\nM-values=2\nrho0-values=0,1.5\n"
+                       "methods=xi-pm, pearson\nreplicates=4\nb=9\nalpha=0.1\n"
+                       "seed=5\nworkers=2\n")
+        assert cli_dispatch(["power-study", "--config", str(cfg), "--replicates", "7",
+                             "--methods", "symmetric-nn,pearson"]) == 0
+        assert built == [
+            PowerStudyConfig(n_values=[1000], M_values=[1, 20],
+                             rho0_values=[0.0, 1.0, 2.0, 5.0], methods=["xi-pm"],
+                             replicates=500, B=999, alpha=0.05, master_seed=1, workers=1),
+            PowerStudyConfig(n_values=[30, 60], M_values=[2], rho0_values=[0.0, 1.5],
+                             methods=["symmetric-nn", "pearson"], replicates=7, B=9,
+                             alpha=0.1, master_seed=5, workers=2),
+        ]
+
+    @pytest.mark.parametrize("argv, message", [
+        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers 0",
+         "workers must be >= 1, got 0"),
+        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers -3",
+         "workers must be >= 1, got -3"),
+        ("null-calibration --n 100 -M 3 --replicates 20 --workers 0",
+         "workers must be >= 1, got 0"),
+        ("null-calibration --n 100 -M 3 --replicates 20 --workers -5",
+         "workers must be >= 1, got -5"),
+        ("consistency --rho-values , --n-values 80 --M-values 2",
+         "rho_values must be nonempty"),
+        ("timing --n-values , --M-values 1", "n_values must be nonempty"),
+    ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
+            "null-workers-neg", "consistency-empty-rho", "timing-empty-n"])
+    def test_study_setting_errors_exit_1(self, capsys, argv, message):
+        assert cli_dispatch(argv.split() + ["--seed", "1"]) == 1
+        assert capsys.readouterr() == ("", f"xiboost: error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ["coef", "--method", "xi-nm", "-M", "2", "{missing}"],

@@ -77,6 +77,17 @@ class TestPowerStudy:
         with pytest.raises(StudyError, match=r"replicate 0, seed key \(1, 0, 0\):"):
             power_study(cfg)
 
+    def test_pooled_failure_names_cell_like_serial(self):
+        # the worker-side wrapper builds the same text at any worker count
+        cfg = dict(n_values=[4], M_values=[1], rho0_values=[0.0], methods=["hoeffding-d"],
+                   replicates=2, B=9, alpha=0.05, master_seed=1)
+        expected = ("cell (method=hoeffding-d, n=4, M=None, rho0=0.0) replicate 0, "
+                    "seed key (1, 0, 0): Hoeffding's D needs n >= 5, got 4")
+        for workers in (1, 2):
+            with pytest.raises(StudyError) as exc:
+                power_study(PowerStudyConfig(**cfg, workers=workers))
+            assert str(exc.value) == expected
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             PowerStudyConfig(n_values=[], M_values=[1], rho0_values=[0.0],
@@ -139,6 +150,15 @@ class TestConsistencyStudy:
         assert str(exc.value) == ("cell (rho=0.3, n=50, M=2) replicate 2, "
                                   "seed key (9, 1, 2): injected")
 
+    @pytest.mark.parametrize("grid, name", [
+        (([], [50], [2]), "rho_values"),
+        (([0.3], [], [2]), "n_values"),
+        (([0.3], [50], []), "M_values"),
+    ], ids=["rho", "n", "M"])
+    def test_empty_grid_rejected(self, grid, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be nonempty$"):
+            consistency_study(*grid, replicates=3, seed=1)
+
     def test_deterministic_across_workers(self):
         a = consistency_study([0.3], [100], [2, 4], replicates=50, seed=5, workers=1)
         b = consistency_study([0.3], [100], [2, 4], replicates=50, seed=5, workers=2)
@@ -152,3 +172,11 @@ class TestTimingStudy:
         for row in report.rows:
             assert row["median_seconds"] > 0.0
             assert row["repetitions"] == 5
+
+    @pytest.mark.parametrize("grid, name", [
+        (([], [1]), "n_values"),
+        (([300], []), "M_values"),
+    ], ids=["n", "M"])
+    def test_empty_grid_rejected(self, grid, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be nonempty$"):
+            timing_study(*grid, repetitions=1, warmup=0, seed=1)
