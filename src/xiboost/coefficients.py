@@ -8,7 +8,8 @@ checks.
 Each sum has one kernel over a batch of rank rows: a coefficient is a batch
 of one row, a permutation null a batch of drawn rows. Every min-rank sum
 runs one pair-minimum loop over neighbor distances; symmetric-nn takes about
-M/2 full distances of it plus two windows M+1 wide. :data:`METHODS` says
+M/2 full distances of it plus two windows M+1 wide, and the right-neighbor
+sums take min(M, n-1-M) distances. :data:`METHODS` says
 which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and which
 have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
 """
@@ -71,11 +72,29 @@ class PopulationXi:
 
 def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
     """Row-wise int64 sum over d = first..last and positions p of min(row[p], row[p+d]);
-    the one pair-minimum loop under every min-rank kernel."""
-    n = rows.shape[1]
-    out = np.zeros(rows.shape[0], dtype=np.int64)
+    the one pair-minimum loop under every min-rank kernel.
+
+    The (k, n) rows are transposed once to a contiguous (n, k) array, so each
+    distance is one `np.minimum` of two contiguous blocks into a reused
+    buffer and one column sum into the int64 result. The bound on a column
+    sum comes from the row dtype, not from the width: callers pass windows
+    (symmetric-nn's edges) that hold ranks up to the full row length. A
+    column sum adds at most n-1 entries of magnitude at most 2^15 when the
+    rows are int16 (the permutation draws up to n = 32767), so it is taken
+    in int32 while n <= 2^16, and in int64 for wider rows or int32/int64
+    rows. int64 rows, the one row a coefficient scores, therefore take one
+    minimum and one int64 sum per distance.
+    """
+    k, n = rows.shape
+    out = np.zeros(k, dtype=np.int64)
+    if first > last:
+        return out
+    acc = np.int32 if rows.itemsize <= 2 and n <= 2 ** 16 else np.int64
+    cols = np.ascontiguousarray(rows.T)
+    buf = np.empty((n - first, k), dtype=cols.dtype)
     for d in range(first, last + 1):
-        out += np.minimum(rows[:, : n - d], rows[:, d:]).sum(axis=1, dtype=np.int64)
+        np.minimum(cols[: n - d], cols[d:], out=buf[: n - d])
+        out += buf[: n - d].sum(axis=0, dtype=acc)
     return out
 
 
@@ -89,10 +108,20 @@ def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     ranks n+1-r, uses min(n+1-a, n+1-b) = (n+1) - a - b + min(a, b); the
     linear terms collapse to P_m + H_m (H = sum of the first m entries). The
     head and tail sums over m = 1..M are closed-form weighted sums, so only
-    the pair minima need the loop. Exact int64 arithmetic throughout.
+    the pair minima need the loop.
+
+    Far distances: over all pairs p < q, sum min(r_p, r_q) = sum_r r(n-r) =
+    (n^3-n)/6, since rank r is the smaller of a pair with each of the n-r
+    larger ranks. When 2M > n-1 the pair minima over distances 1..M are
+    therefore (n^3-n)/6 less those over the n-1-M distances M+1..n-1, the
+    shorter loop. The total is below 2^63 for n <= 3,810,778. Exact int64
+    arithmetic throughout.
     """
     n = rows.shape[1]
-    pairs = _pair_min_sums(rows, 1, M)
+    if 2 * M > n - 1:
+        pairs = (n ** 3 - n) // 6 - _pair_min_sums(rows, M + 1, n - 1)
+    else:
+        pairs = _pair_min_sums(rows, 1, M)
     # for m = 1..M, position n-M+j is among the last m entries j+1 times and
     # position j among the first m entries M-j times
     weights = np.arange(1, M + 1, dtype=np.int64)

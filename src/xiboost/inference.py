@@ -93,11 +93,15 @@ class NullMoments:
 
 
 def _permutation_batches(rng: np.random.Generator, n: int, B: int):
-    """Yield (k, n) int32 permutation matrices with rows drawn uniformly.
+    """Yield (k, n) permutation matrices with rows drawn uniformly.
 
     Rows are drawn one after another from `rng`, so the draws do not depend
-    on the chunk size."""
-    base = np.arange(1, n + 1, dtype=np.int32)
+    on the chunk size. They are int16 when n <= 32767, where int16 holds
+    every rank, and int32 above; `rng.permuted` shuffles the same way for
+    either dtype, so the rows equal an int32 draw's. Narrow rows halve the
+    memory the min-rank kernel streams through."""
+    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
+    base = np.arange(1, n + 1, dtype=dtype)
     for start, stop in row_chunks(n, B):
         mat = np.tile(base, (stop - start, 1))
         rng.permuted(mat, axis=1, out=mat)

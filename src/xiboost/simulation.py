@@ -19,7 +19,6 @@ import functools
 import math
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +115,8 @@ def _map_tasks(fn, tasks: list, workers: int) -> list:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, math.ceil(len(tasks) / (workers * 8)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=chunksize))
@@ -287,6 +288,8 @@ def timing_study(n_values: Sequence[int], M_values: Sequence[int],
     """
     if repetitions < 1:
         raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     _require_nonempty(n_values=n_values, M_values=M_values)
     cells = [(int(n), int(M)) for n in n_values for M in M_values]
     for n, M in cells:

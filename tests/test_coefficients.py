@@ -34,6 +34,7 @@ from xiboost import (
 from xiboost.coefficients import (
     HOEFFDING_INT64_MAX_N,
     _earlier_smaller_counts,
+    _pair_min_sums,
     batch_hoeffding_numerators,
     batch_min_rank_sums,
     batch_symmetric_min_sums,
@@ -43,6 +44,7 @@ from xiboost.coefficients import (
     symmetric_min_sum,
     xi_fraction_from_min_sum,
 )
+from xiboost.inference import _permutation_batches
 from xiboost.ranks import compute_ranks, derive_rng, sorted_y_ranks
 
 
@@ -253,6 +255,51 @@ class TestBatchKernels:
             rs = rng.permutation(n) + 1
             assert min_rank_sum(rs, M) == batch_min_rank_sums(rs[None], M)[0][0]
             assert symmetric_min_sum(rs, M) == batch_symmetric_min_sums(rs[None], M)[0]
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 64, 65, 1000])
+    def test_far_distance_switch(self, n):
+        """M = floor((n-1)/2) sums distances 1..M; one more, and M = n-1, take
+        the closed-form total less the far distances."""
+        rng = derive_rng(18, n)
+        perms = [rng.permutation(n) + 1, np.arange(1, n + 1), np.arange(n, 0, -1)]
+        for M in sorted({(n - 1) // 2, (n - 1) // 2 + 1, n - 1} & set(range(1, n))):
+            for row in perms[: 1 if n > 65 else 3]:
+                want = (right_neighbor_brute(row.tolist(), M),
+                        right_neighbor_brute((n + 1 - row).tolist(), M))
+                for dtype in (np.int16, np.int32, np.int64):
+                    direct, reflected = batch_min_rank_sums(row.astype(dtype)[None], M)
+                    assert (direct.dtype, reflected.dtype) == (np.int64, np.int64)
+                    assert (direct[0], reflected[0]) == want, (n, M, dtype, row)
+
+    def test_window_sums_are_exact_for_large_ranks(self):
+        """A window of an int32 row holds ranks up to the full row length, as
+        symmetric-nn's edge windows do; its sums stay exact past 2^31."""
+        N, w = 200_000, 46_340
+        window = np.arange(N, 0, -1, dtype=np.int32)[None, :w]
+        # min(row[p], row[p+d]) = row[p+d] = N-p-d for p = 0..w-1-d
+        want = [sum(range(N - w + 1, N - d + 1)) for d in (1, 2)]
+        assert min(want) > 2 ** 31
+        assert _pair_min_sums(window, 1, 2)[0] == sum(want)
+        assert _pair_min_sums(window, 2, 2)[0] == want[1]
+
+    @pytest.mark.parametrize("fill", [32767, -32768])
+    @pytest.mark.parametrize("width", [2 ** 16, 2 ** 16 + 2])
+    def test_int16_column_sums_at_their_bound(self, fill, width):
+        """int16 rows up to 2^16 wide sum each distance in int32 without
+        wrapping; at 2^16 + 2 a column sum of -32768s passes -2^31."""
+        rows = np.full((2, width), fill, dtype=np.int16)
+        assert _pair_min_sums(rows, 1, 2).tolist() == [fill * (2 * width - 3)] * 2
+
+    @pytest.mark.parametrize("n, dtype", [(7, np.int16), (1000, np.int16),
+                                          (32767, np.int16), (32768, np.int32)])
+    def test_permutation_draw_dtype(self, n, dtype):
+        """Test draws are int16 while int16 holds every rank, and equal an int32 draw."""
+        B = 5
+        drawn = np.concatenate(list(_permutation_batches(derive_rng(20), n, B)))
+        want = np.tile(np.arange(1, n + 1, dtype=np.int32), (B, 1))
+        derive_rng(20).permuted(want, axis=1, out=want)
+        assert drawn.dtype == dtype
+        assert np.array_equal(drawn, want)
 
 
 class TestPearson:

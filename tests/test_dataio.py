@@ -159,12 +159,15 @@ class TestLoaderMatchesScanner:
 
 
 def test_no_scipy_import_on_cli_path(tmp_path):
+    """`import xiboost.cli` loads neither scipy nor the process-pool machinery."""
     data = write(tmp_path, "x,y\n1,2\n2,1\n3,4\n4,3\n")
     code = (
         "import sys\n"
         "def scipy_loaded(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import xiboost.cli\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
+        "pool = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "assert not pool, pool\n"
         "import xiboost\n"
         "assert not scipy_loaded(), scipy_loaded()\n"
         "from xiboost.cli import cli_dispatch\n"

@@ -314,8 +314,11 @@ class TestCli:
         ("consistency --rho-values , --n-values 80 --M-values 2",
          "rho_values must be nonempty"),
         ("timing --n-values , --M-values 1", "n_values must be nonempty"),
+        ("timing --n-values 50 --M-values 2 --repetitions 2 --warmup -3",
+         "warmup must be >= 0, got -3"),
     ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
-            "null-workers-neg", "consistency-empty-rho", "timing-empty-n"])
+            "null-workers-neg", "consistency-empty-rho", "timing-empty-n",
+            "timing-warmup-neg"])
     def test_study_setting_errors_exit_1(self, capsys, argv, message):
         assert cli_dispatch(argv.split() + ["--seed", "1"]) == 1
         assert capsys.readouterr() == ("", f"xiboost: error: {message}\n")
