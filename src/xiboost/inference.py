@@ -9,7 +9,12 @@ float edge cases.
 
 The permutation-testable methods are those with a batch score in
 :data:`~xiboost.coefficients.METHODS` (xi-pm, symmetric-nn, hoeffding-d);
-the test runs the same code for each of them.
+the test runs the same code for each of them. :func:`permutation_test`
+counts over all B rows for its p-value. :func:`permutation_reject`, which
+power studies call, keeps only the decision: it stops drawing once so many
+rows reach the observed score that the test must accept (the exact,
+decision-preserving form of the curtailed Monte Carlo test of Besag and
+Clifford, 1991), and always equals ``permutation_test(s, cfg).reject``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from .errors import ConfigError, RegimeError, SizeError
 from .ranks import (
     Sample,
     derive_rng,
-    row_chunks,
+    max_batch_rows,
+    rank_dtype,
     sorted_y_ranks,
     validate_neighbor_count,
 )
@@ -93,19 +99,47 @@ class NullMoments:
 
 
 def _permutation_batches(rng: np.random.Generator, n: int, B: int):
-    """Yield (k, n) permutation matrices with rows drawn uniformly.
+    """Yield (k, n) permutation matrices with rows drawn uniformly, B rows in all.
 
-    Rows are drawn one after another from `rng`, so the draws do not depend
-    on the chunk size. They are int16 when n <= 32767, where int16 holds
-    every rank, and int32 above; `rng.permuted` shuffles the same way for
-    either dtype, so the rows equal an int32 draw's. Narrow rows halve the
-    memory the min-rank kernel streams through."""
-    dtype = np.int16 if n <= np.iinfo(np.int16).max else np.int32
-    base = np.arange(1, n + 1, dtype=dtype)
-    for start, stop in row_chunks(n, B):
-        mat = np.tile(base, (stop - start, 1))
+    Chunks hold 64, 64, 128, 256, ... rows (each as many as all before it,
+    and at least 64), each capped by `ranks.max_batch_rows(n)`, so a test
+    that stops early has drawn at most about twice the rows it needed. Rows
+    are drawn one after another from `rng`, so the draws do not depend on
+    the chunk sizes. They are int16 when n <= 32767, where int16 holds every
+    rank, and int32 above; `rng.permuted` shuffles the same way for either
+    dtype, so the rows equal an int32 draw's. Narrow rows halve the memory
+    the min-rank kernel streams through."""
+    base = np.arange(1, n + 1, dtype=rank_dtype(n))
+    cap = max_batch_rows(n)
+    done = 0
+    while done < B:
+        mat = np.tile(base, (min(max(64, done), cap, B - done), 1))
         rng.permuted(mat, axis=1, out=mat)
+        done += len(mat)
         yield mat
+
+
+def _observed(s: Sample, cfg: PermutationTestConfig):
+    """The prologue of every permutation test: (statistic, observed score).
+    The coefficient runs first, so its checks (ties, a too-small n) raise
+    the same errors whichever entry point is called."""
+    spec = METHODS[cfg.method]
+    return spec.coefficient(s, cfg.M).value, spec.score(sorted_y_ranks(s)[None], cfg.M)[0]
+
+
+def _count_exceed(s: Sample, cfg: PermutationTestConfig, observed,
+                  alpha: Optional[float] = None) -> int:
+    """Number of the B null rows scoring >= `observed`, the one counting loop
+    of both entry points. With an `alpha` it stops after the chunk that takes
+    (1 + count) / (1 + B) past `alpha`, and then returns that partial count:
+    the ratio never falls as the count grows, so the test must accept."""
+    score = METHODS[cfg.method].score
+    exceed = 0
+    for mat in _permutation_batches(derive_rng(cfg.seed), s.n, cfg.B):
+        exceed += int(np.count_nonzero(score(mat, cfg.M) >= observed))
+        if alpha is not None and (1 + exceed) / (1 + cfg.B) > alpha:
+            break
+    return exceed
 
 
 def permutation_test(s: Sample, cfg: PermutationTestConfig) -> TestResult:
@@ -116,27 +150,34 @@ def permutation_test(s: Sample, cfg: PermutationTestConfig) -> TestResult:
     such a row (right neighbors are positions i+m, so no sorting is needed).
     Cost is O(B n M) for the rank statistics and O(B n log^2 n) for
     Hoeffding's D, whose merge counting runs on a whole batch of rows at once.
+    The p-value counts over all B rows.
     """
-    n = s.n
-    spec = METHODS[cfg.method]
-    statistic = spec.coefficient(s, cfg.M).value
-    observed = spec.score(sorted_y_ranks(s)[None], cfg.M)[0]
-    rng = derive_rng(cfg.seed)
-    exceed = 0
-    for mat in _permutation_batches(rng, n, cfg.B):
-        exceed += int(np.count_nonzero(spec.score(mat, cfg.M) >= observed))
-    p_value = (1 + exceed) / (1 + cfg.B)
+    statistic, observed = _observed(s, cfg)
+    p_value = (1 + _count_exceed(s, cfg, observed)) / (1 + cfg.B)
     return TestResult(
         statistic=statistic,
         p_value=p_value,
         reject=p_value <= cfg.alpha,
         method=cfg.method,
-        n=n,
+        n=s.n,
         alpha=cfg.alpha,
         M=cfg.M,
         B=cfg.B,
         seed=cfg.seed,
     )
+
+
+def permutation_reject(s: Sample, cfg: PermutationTestConfig) -> bool:
+    """``permutation_test(s, cfg).reject``, drawing only the rows that decide it.
+
+    The same rows are drawn in the same order, but drawing stops once so many
+    of them score >= the observed one that (1 + count) / (1 + B) exceeds
+    alpha: the test must then accept, whatever the remaining rows score.
+    When 1 / (1 + B) > alpha, no row is drawn. A test that rejects still
+    scores all B rows."""
+    _, observed = _observed(s, cfg)
+    return (1 / (1 + cfg.B) <= cfg.alpha
+            and (1 + _count_exceed(s, cfg, observed, cfg.alpha)) / (1 + cfg.B) <= cfg.alpha)
 
 
 def asymptotic_test(s: Sample, M: int, alpha: float, override: bool = False) -> TestResult:

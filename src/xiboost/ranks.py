@@ -199,13 +199,24 @@ def sorted_y_ranks(s: Sample) -> np.ndarray:
     return rs
 
 
+def rank_dtype(n: int) -> type:
+    """Narrowest integer dtype of a batch of rank rows of width n: int16 while
+    it holds every rank 1..n (n <= 32767), int32 above."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int32
+
+
+def max_batch_rows(n: int) -> int:
+    """Most rows of width `n` in one (k, n) batch matrix: 2e6 cells, or one row."""
+    return max(1, 2_000_000 // max(n, 1))
+
+
 def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
-    """(start, stop) chunks of `total` rows of width `n`, at most 2e6 cells
-    (or one row) each: the memory cap for code that builds a (k, n) batch
-    matrix. It is not a scheduling rule (pooled studies leave that to
+    """(start, stop) chunks of `total` rows of width `n`, `max_batch_rows(n)`
+    each: the memory cap for code that builds a (k, n) batch matrix. It is
+    not a scheduling rule (pooled studies leave that to
     `simulation._map_tasks`), and it depends only on (n, total), never on the
     worker count."""
-    rows = max(1, 2_000_000 // max(n, 1))
+    rows = max_batch_rows(n)
     return [(start, min(total, start + rows)) for start in range(0, total, rows)]
 
 

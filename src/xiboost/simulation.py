@@ -11,6 +11,13 @@ Power and consistency studies run one pool task per replicate through
 chunksize alone decides how tasks are batched onto workers. Null calibration
 keeps `ranks.row_chunks`, the memory cap on the (k, n) rank matrix each of
 its tasks feeds to the batch kernel.
+
+A power replicate keeps only its test's accept/reject, so it calls
+`inference.permutation_reject`: the replicate's null draws stop once so many
+null scores reach the observed one that the test must accept. The rows drawn
+are the ones `permutation_test` would draw, so power reports are
+byte-identical to running the full test; `permutation_test` itself, and its
+p-value, still use all B rows.
 """
 
 from __future__ import annotations
@@ -38,10 +45,10 @@ from .inference import (
     PermutationTestConfig,
     null_variance_asymptotic,
     pearson_test,
-    permutation_test,
+    permutation_reject,
 )
 from .power import sample_rotation
-from .ranks import derive_rng, derive_seed, row_chunks, validate_neighbor_count
+from .ranks import derive_rng, derive_seed, rank_dtype, row_chunks, validate_neighbor_count
 
 SCHEMA_VERSION = 1
 
@@ -153,7 +160,7 @@ def _power_replicate(B: int, alpha: float, cell: dict, key: tuple) -> int:
         return int(pearson_test(s, alpha).reject)
     cfg = PermutationTestConfig(B=B, alpha=alpha, seed=derive_seed(*key, 1), method=method,
                                 M=cell["M"])
-    return int(permutation_test(s, cfg).reject)
+    return int(permutation_reject(s, cfg))
 
 
 def power_study(cfg: PowerStudyConfig) -> StudyReport:
@@ -189,7 +196,7 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
 
 def _null_chunk_task(args) -> np.ndarray:
     (n, M, seed, start, stop) = args
-    rows = np.empty((stop - start, n), dtype=np.int32)
+    rows = np.empty((stop - start, n), dtype=rank_dtype(n))
     for k, rep in enumerate(range(start, stop)):
         rows[k] = derive_rng(seed, rep).permutation(n)
     rows += 1

@@ -291,15 +291,23 @@ class TestBatchKernels:
         assert _pair_min_sums(rows, 1, 2).tolist() == [fill * (2 * width - 3)] * 2
 
     @pytest.mark.parametrize("n, dtype", [(7, np.int16), (1000, np.int16),
-                                          (32767, np.int16), (32768, np.int32)])
+                                          (32767, np.int16), (32768, np.int32),
+                                          (40000, np.int32)])
     def test_permutation_draw_dtype(self, n, dtype):
-        """Test draws are int16 while int16 holds every rank, and equal an int32 draw."""
-        B = 5
-        drawn = np.concatenate(list(_permutation_batches(derive_rng(20), n, B)))
-        want = np.tile(np.arange(1, n + 1, dtype=np.int32), (B, 1))
-        derive_rng(20).permuted(want, axis=1, out=want)
-        assert drawn.dtype == dtype
-        assert np.array_equal(drawn, want)
+        """Test draws are int16 while int16 holds every rank. On the chunk
+        schedule 64, 64, 128, ... (50-row chunks at n=40000, the memory cap)
+        they equal one draw of all B rows, in that dtype and in int32."""
+        schedules = {(1000, 999): [64, 64, 128, 256, 487], (40000, 129): [50, 50, 29]}
+        for B in (1, 63, 64, 65, 127, 128, 129, 999) if n <= 1000 else (1, 65, 129):
+            chunks = list(_permutation_batches(derive_rng(20), n, B))
+            if (n, B) in schedules:
+                assert [len(c) for c in chunks] == schedules[n, B]
+            drawn = np.concatenate(chunks)
+            assert drawn.dtype == dtype
+            for want_dtype in (dtype, np.int32):
+                want = np.tile(np.arange(1, n + 1, dtype=want_dtype), (B, 1))
+                derive_rng(20).permuted(want, axis=1, out=want)
+                assert np.array_equal(drawn, want), (B, want_dtype)
 
 
 class TestPearson:

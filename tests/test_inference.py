@@ -15,6 +15,7 @@ from xiboost import (
     RegimeError,
     Sample,
     SizeError,
+    TieError,
     asymptotic_test,
     derive_rng,
     derive_seed,
@@ -26,7 +27,9 @@ from xiboost import (
     replicate_statistic_from_permutation,
     sample_rotation,
 )
+from xiboost import inference
 from xiboost.coefficients import METHODS
+from xiboost.inference import permutation_reject
 
 
 def monotone_sample(n):
@@ -173,6 +176,64 @@ class TestPermutationTest:
                                         method=Method.XI_PM, M=10)
             rejections += permutation_test(s, cfg).reject
         assert rejections / trials <= 0.05 + 0.015
+
+
+class TestPermutationReject:
+    """The decision-only path equals the full test's `reject` on the same rows."""
+
+    # (B, alpha, e*), e* the largest count e with (1 + e)/(1 + B) <= alpha:
+    # alpha on a boundary, just below one, and below 1/(1 + B) (e* = -1),
+    # where every test accepts
+    LIMITS = [
+        (1, 0.5, 0), (1, 0.3, -1),
+        (19, 0.05, 0), (19, math.nextafter(0.05, 0), -1), (19, 0.2, 3),
+        (99, 0.05, 4), (99, math.nextafter(0.05, 0), 3), (99, 0.005, -1),
+        (999, 0.05, 49), (999, math.nextafter(0.05, 0), 48), (999, 0.0009, -1),
+    ]
+    METHOD_M = [(Method.XI_PM, 4), (Method.SYMMETRIC_NN, 4), (Method.HOEFFDING_D, None)]
+
+    @pytest.mark.parametrize("method, M", METHOD_M)
+    @pytest.mark.parametrize("B, alpha, e_star", LIMITS)
+    def test_decision_equals_full_test(self, method, M, B, alpha, e_star):
+        decisions = set()
+        for rep, rho in itertools.product(range(6), (0.0, 0.35)):
+            s = sample_rotation(derive_rng(29, rep), 40, rho)
+            cfg = PermutationTestConfig(B=B, alpha=alpha, seed=derive_seed(29, rep, 1),
+                                        method=method, M=M)
+            full = permutation_test(s, cfg).reject
+            assert permutation_reject(s, cfg) is full, (rep, rho)
+            decisions.add(full)
+        if e_star < 0:
+            assert decisions == {False}
+
+    def test_draws_stop_once_the_test_must_accept(self, monkeypatch):
+        drawn = []
+
+        def counting(rng, n, B):
+            for mat in batches(rng, n, B):
+                drawn.append(len(mat))
+                yield mat
+
+        batches = inference._permutation_batches
+        monkeypatch.setattr(inference, "_permutation_batches", counting)
+        null = sample_rotation(derive_rng(30), 200, 0.0)
+        for sample, alpha, reject, rows in ((null, 0.05, False, range(1, 999)),
+                                            (null, 0.0009, False, [0]),
+                                            (monotone_sample(200), 0.05, True, [999])):
+            cfg = PermutationTestConfig(B=999, alpha=alpha, seed=31, method=Method.XI_PM, M=5)
+            drawn.clear()
+            assert permutation_reject(sample, cfg) is reject
+            assert sum(drawn) in rows
+
+    @pytest.mark.parametrize("method, M", METHOD_M)
+    def test_tie_error_text_matches(self, method, M):
+        s = Sample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3.0, 1.0, 3.0, 2.0, 5.0, 6.0])
+        cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method, M=M)
+        with pytest.raises(TieError) as full:
+            permutation_test(s, cfg)
+        with pytest.raises(TieError) as decision:
+            permutation_reject(s, cfg)
+        assert str(decision.value) == str(full.value)
 
 
 class TestAsymptoticTest:

@@ -18,6 +18,7 @@ from xiboost import (
 )
 from xiboost.cli import cli_dispatch
 from xiboost.coefficients import METHODS
+from xiboost.inference import permutation_reject
 
 TIED = [2.0, 1.0, 1.0, 1.0, 0.0]
 UNTIED = [0.3, 0.1, 0.4, 0.5, 0.9]
@@ -31,15 +32,17 @@ def _coefficient(method):
     return lambda s: METHODS[method].coefficient(s, _m(method))
 
 
-def _permutation_test(method):
+def _permutation_test(method, test=permutation_test):
     cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method, M=_m(method))
-    return lambda s: permutation_test(s, cfg)
+    return lambda s: test(s, cfg)
 
 
 SAMPLE_ENTRY_POINTS = {
     "sorted_y_ranks": sorted_y_ranks,
     **{f"coefficient[{m.value}]": _coefficient(m) for m in Method if m is not Method.PEARSON},
     **{f"permutation_test[{m.value}]": _permutation_test(m)
+       for m in Method if METHODS[m].score is not None},
+    **{f"permutation_reject[{m.value}]": _permutation_test(m, permutation_reject)
        for m in Method if METHODS[m].score is not None},
 }
 
