@@ -6,12 +6,15 @@ platforms. Exact rational variants back the enumeration and extremal-identity
 checks.
 
 Each sum has one kernel over a batch of rank rows: a coefficient is a batch
-of one row, a permutation null a batch of drawn rows. Every min-rank sum
-runs one pair-minimum loop over neighbor distances; symmetric-nn takes about
-M/2 full distances of it plus two windows M+1 wide, and the right-neighbor
-sums take min(M, n-1-M) distances. :data:`METHODS` says
-which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and which
-have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
+of one int64 row, a permutation null a batch of drawn int16 or int32 rows.
+Every min-rank sum runs one pair-minimum loop over neighbor distances;
+symmetric-nn takes about M/2 full distances of it plus two windows M+1 wide,
+and the right-neighbor sums take min(M, n-1-M) distances. The loop takes a
+batch of narrow rows one cache-sized block of rows at a time and adds the
+minima of several distances in the row dtype before each int64 sum; the one
+int64 row takes one minimum and one int64 sum per distance. :data:`METHODS`
+says which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and
+which have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .errors import DegenerateError, RhoRangeError, SizeError
 from .ranks import (
     Sample,
     XOrder,
+    block_rows,
     is_rank_permutation,
     sorted_y_ranks,
     validate_neighbor_count,
@@ -74,27 +78,51 @@ def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
     """Row-wise int64 sum over d = first..last and positions p of min(row[p], row[p+d]);
     the one pair-minimum loop under every min-rank kernel.
 
-    The (k, n) rows are transposed once to a contiguous (n, k) array, so each
-    distance is one `np.minimum` of two contiguous blocks into a reused
-    buffer and one column sum into the int64 result. The bound on a column
-    sum comes from the row dtype, not from the width: callers pass windows
-    (symmetric-nn's edges) that hold ranks up to the full row length. A
-    column sum adds at most n-1 entries of magnitude at most 2^15 when the
-    rows are int16 (the permutation draws up to n = 32767), so it is taken
-    in int32 while n <= 2^16, and in int64 for wider rows or int32/int64
-    rows. int64 rows, the one row a coefficient scores, therefore take one
-    minimum and one int64 sum per distance.
+    Rows are transposed to contiguous (n, k) columns, so each distance is one
+    `np.minimum` of two contiguous blocks into a reused buffer. int64 rows,
+    the one row a coefficient scores, are transposed whole and take one
+    minimum and one int64 column sum per distance. The block loop below
+    would take them too, and for a row that fits in cache it is faster (one
+    row at n = 5000, M = 200: 0.96-1.33 ms against 1.29-1.66 ms), but for
+    one long row it is slower and larger: at n = 1e6, M = 20 it took
+    38-40 ms and 24 MB against 25 ms and 8 MB here (medians of interleaved
+    calls, 2 cores), and the benchmark's `cli_coef` (that row) read op_s
+    1.35-1.44 s against 1.19-1.38 s over three pairs.
+
+    Narrower rows (the int16 and int32 permutation draws) are transposed one
+    cache-sized block of rows (:func:`ranks.block_rows`) at a time. The
+    minima of G consecutive distances are added up in the row dtype, and
+    each group takes one int64 column sum. With V the largest magnitude in
+    the rows, G = max(1, dtype max // V), so a running sum of G minima stays
+    within [-G V, G V] and cannot wrap: G = 32 for int16 ranks at n = 1000,
+    and G = 1 from n = 16384. The bound comes from the values, not from the
+    width: callers pass windows (symmetric-nn's edges) that hold ranks up to
+    the full row length.
     """
     k, n = rows.shape
     out = np.zeros(k, dtype=np.int64)
-    if first > last:
+    if first > last or k == 0:
         return out
-    acc = np.int32 if rows.itemsize <= 2 and n <= 2 ** 16 else np.int64
-    cols = np.ascontiguousarray(rows.T)
-    buf = np.empty((n - first, k), dtype=cols.dtype)
-    for d in range(first, last + 1):
-        np.minimum(cols[: n - d], cols[d:], out=buf[: n - d])
-        out += buf[: n - d].sum(axis=0, dtype=acc)
+    if rows.itemsize == 8:
+        cols = np.ascontiguousarray(rows.T)
+        buf = np.empty((n - first, k), dtype=cols.dtype)
+        for d in range(first, last + 1):
+            np.minimum(cols[: n - d], cols[d:], out=buf[: n - d])
+            out += buf[: n - d].sum(axis=0, dtype=np.int64)
+        return out
+    group = max(1, np.iinfo(rows.dtype).max // max(int(rows.max()), -int(rows.min()), 1))
+    step = min(block_rows(n, rows.itemsize), k)
+    store = np.empty((3, n * step), dtype=rows.dtype)
+    for start in range(0, k, step):
+        block = rows[start:start + step]
+        cols, mins, sums = (flat[: block.size].reshape(n, len(block)) for flat in store)
+        cols[...] = block.T
+        for head in range(first, last + 1, group):
+            np.minimum(cols[: n - head], cols[head:], out=sums[: n - head])
+            for d in range(head + 1, min(head + group, last + 1)):
+                np.minimum(cols[: n - d], cols[d:], out=mins[: n - d])
+                sums[: n - d] += mins[: n - d]
+            out[start:start + step] += sums[: n - head].sum(axis=0, dtype=np.int64)
     return out
 
 
@@ -125,8 +153,10 @@ def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     # for m = 1..M, position n-M+j is among the last m entries j+1 times and
     # position j among the first m entries M-j times
     weights = np.arange(1, M + 1, dtype=np.int64)
-    tails = rows[:, n - M:] @ weights
-    heads = rows[:, :M] @ weights[::-1]
+    # einsum casts narrow rows to int64 through small buffers; `@` would copy
+    # each (k, M) slice to int64 whole
+    tails = np.einsum("km,m->k", rows[:, n - M:], weights)
+    heads = np.einsum("km,m->k", rows[:, :M], weights[::-1])
     return pairs + tails, pairs + heads
 
 

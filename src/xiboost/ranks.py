@@ -210,6 +210,19 @@ def max_batch_rows(n: int) -> int:
     return max(1, 2_000_000 // max(n, 1))
 
 
+# Bytes of one cache-sized block of rows. The permutation draw stages its
+# int64 rows in one such block, and the min-rank kernel keeps three such
+# arrays (a transposed block, the minima and their running sums) live at a
+# time, which fits a 1-2 MB L2 cache where one (k, n) batch does not.
+BLOCK_BYTES = 2 ** 18
+
+
+def block_rows(n: int, itemsize: int) -> int:
+    """Rows of width `n` and `itemsize` bytes per entry in one cache-sized
+    block of :data:`BLOCK_BYTES`, or one row."""
+    return max(1, BLOCK_BYTES // (max(n, 1) * itemsize))
+
+
 def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
     """(start, stop) chunks of `total` rows of width `n`, `max_batch_rows(n)`
     each: the memory cap for code that builds a (k, n) batch matrix. It is

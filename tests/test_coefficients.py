@@ -3,6 +3,7 @@ oracles, and independent quadrature cross-checks."""
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,8 @@ from xiboost import (
 )
 from xiboost.coefficients import (
     HOEFFDING_INT64_MAX_N,
+    METHODS,
+    Method,
     _earlier_smaller_counts,
     _pair_min_sums,
     batch_hoeffding_numerators,
@@ -45,7 +48,7 @@ from xiboost.coefficients import (
     xi_fraction_from_min_sum,
 )
 from xiboost.inference import _permutation_batches
-from xiboost.ranks import compute_ranks, derive_rng, sorted_y_ranks
+from xiboost.ranks import BLOCK_BYTES, block_rows, compute_ranks, derive_rng, sorted_y_ranks
 
 
 def right_neighbor_brute(v, M):
@@ -74,6 +77,40 @@ def symmetric_brute(v, M):
                 left += 1
         total += sum(min(v[p], v[q]) for q in chosen)
     return total
+
+
+def right_neighbor_rows(rows, M):
+    """:func:`right_neighbor_brute` of every row, in int64, vectorized over
+    positions: per m, the pair minima of positions p < n-m and the last m
+    entries, which pair with themselves."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    return sum(np.minimum(rows[:, : n - m], rows[:, m:]).sum(axis=1) + rows[:, n - m:].sum(axis=1)
+               for m in range(1, M + 1))
+
+
+def symmetric_rows(rows, M):
+    """:func:`symmetric_brute` of every row, in int64: the same choice of
+    each position's next nearest neighbor, made for all positions at once."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n = rows.shape[1]
+    p = np.arange(n)
+    left, right = np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    total = np.zeros(len(rows), dtype=np.int64)
+    for _ in range(M):
+        left_ok, right_ok = p - left >= 0, p + right <= n - 1
+        take_right = right_ok & (~left_ok | (right <= left))
+        total += np.minimum(rows, rows[:, np.where(take_right, p + right, p - left)]).sum(axis=1)
+        right += take_right
+        left += ~take_right
+    return total
+
+
+def kernel_cases(rng, n, k, dtype):
+    """k rows of width n: the identity, the reversal, and random permutations."""
+    rows = [np.arange(1, n + 1), np.arange(n, 0, -1)] + [rng.permutation(n) + 1
+                                                         for _ in range(k - 2)]
+    return np.array(rows[:k], dtype=dtype)
 
 
 def hoeffding_brute(rx, ry):
@@ -246,6 +283,76 @@ class TestBatchKernels:
                 assert direct[k] == right_neighbor_brute(row, M), (n, M, row)
                 assert reflected[k] == right_neighbor_brute(flipped, M), (n, M, row)
                 assert symmetric[k] == symmetric_brute(row, M), (n, M, row)
+            # the vectorized references of the wider cases below
+            assert right_neighbor_rows(rows, M).tolist() == direct.tolist()
+            assert symmetric_rows(rows, M).tolist() == symmetric.tolist()
+
+    def check_against_references(self, rows, M):
+        n = rows.shape[1]
+        direct, reflected = batch_min_rank_sums(rows, M)
+        symmetric = batch_symmetric_min_sums(rows, M)
+        assert (direct.dtype, reflected.dtype, symmetric.dtype) == (np.int64,) * 3
+        assert direct.tolist() == right_neighbor_rows(rows, M).tolist(), (n, M, rows.dtype)
+        assert reflected.tolist() == right_neighbor_rows(n + 1 - rows.astype(np.int64),
+                                                         M).tolist(), (n, M, rows.dtype)
+        assert symmetric.tolist() == symmetric_rows(rows, M).tolist(), (n, M, rows.dtype)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_row_blocks_and_small_groups(self, dtype):
+        """At n = 16000 a block holds 8 int16 or 4 int32 rows, and int16 rows
+        add G = 32767 // 16000 = 2 distances per group. Row counts one below,
+        at and one above a block, and one that splits into unequal blocks,
+        each at M = G-1, G and G+1."""
+        n = 16000
+        step = block_rows(n, np.dtype(dtype).itemsize)
+        assert np.iinfo(np.int16).max // n == 2 and block_rows(n, 2) == 8
+        rng = derive_rng(24, np.dtype(dtype).itemsize)
+        for k in (step - 1, step, step + 1, 2 * step + step // 2 + 1):
+            rows = kernel_cases(rng, n, k, dtype)
+            for M in (1, 2, 3):
+                self.check_against_references(rows, M)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_groups_and_far_distances_across_blocks(self, dtype):
+        """At n = 1000 int16 rows add G = 32 distances per group; M = 31, 32
+        and 33 straddle one group, and M = 499 and 500 the far-distance
+        switch, whose 499 far distances end in a partial group. Two rows more
+        than a block make a second, shorter block."""
+        n = 1000
+        assert np.iinfo(np.int16).max // n == 32
+        rows = kernel_cases(derive_rng(25), n, block_rows(n, np.dtype(dtype).itemsize) + 2, dtype)
+        for M in (31, 32, 33, 499, 500):
+            self.check_against_references(rows, M)
+
+    def test_scoring_and_drawing_stay_within_a_few_blocks(self):
+        """Scoring a 999-row int16 batch at n = 1000 allocates a few cache
+        blocks beyond its input, not a transposed copy of the batch; drawing
+        it allocates each chunk and one int64 staging block, not an int64
+        copy of a chunk."""
+        assert 4 * BLOCK_BYTES < 999 * 1000 * 2
+        tracemalloc.start()
+        try:
+            chunks = []
+            draws = _permutation_batches(derive_rng(26), 1000, 999)
+            while True:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                chunk = next(draws, None)
+                if chunk is None:
+                    break
+                extra = tracemalloc.get_traced_memory()[1] - before - chunk.nbytes
+                assert extra <= BLOCK_BYTES + 2 ** 14, (len(chunk), extra)
+                chunks.append(chunk)
+            rows = np.concatenate(chunks)
+            assert rows.dtype == np.int16
+            for method, M in ((Method.XI_PM, 200), (Method.SYMMETRIC_NN, 20)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                METHODS[method].score(rows, M)
+                extra = tracemalloc.get_traced_memory()[1] - before
+                assert extra <= 4 * BLOCK_BYTES, (method, extra)
+        finally:
+            tracemalloc.stop()
 
     def test_scalar_wrappers_are_one_row_batches(self):
         rng = derive_rng(17)
@@ -285,8 +392,9 @@ class TestBatchKernels:
     @pytest.mark.parametrize("fill", [32767, -32768])
     @pytest.mark.parametrize("width", [2 ** 16, 2 ** 16 + 2])
     def test_int16_column_sums_at_their_bound(self, fill, width):
-        """int16 rows up to 2^16 wide sum each distance in int32 without
-        wrapping; at 2^16 + 2 a column sum of -32768s passes -2^31."""
+        """int16 rows of -2^15 or 2^15 - 1 take one distance per group (G = 1),
+        and each column sum is taken in int64: at 2^16 + 2 a column sum of
+        -32768s passes -2^31 without wrapping."""
         rows = np.full((2, width), fill, dtype=np.int16)
         assert _pair_min_sums(rows, 1, 2).tolist() == [fill * (2 * width - 3)] * 2
 
@@ -296,12 +404,20 @@ class TestBatchKernels:
     def test_permutation_draw_dtype(self, n, dtype):
         """Test draws are int16 while int16 holds every rank. On the chunk
         schedule 64, 64, 128, ... (50-row chunks at n=40000, the memory cap)
-        they equal one draw of all B rows, in that dtype and in int32."""
+        they equal one draw of all B rows, in that dtype and in int32. Each
+        chunk is drawn through int64 staging blocks: of 32 rows at n=1000,
+        so the 487-row chunk ends in a 7-row block, and of one row at
+        n >= 32767, so every chunk spans many."""
         schedules = {(1000, 999): [64, 64, 128, 256, 487], (40000, 129): [50, 50, 29]}
+        stage = block_rows(n, 8)
         for B in (1, 63, 64, 65, 127, 128, 129, 999) if n <= 1000 else (1, 65, 129):
             chunks = list(_permutation_batches(derive_rng(20), n, B))
             if (n, B) in schedules:
                 assert [len(c) for c in chunks] == schedules[n, B]
+            if n >= 1000 and B >= 65:
+                assert len(chunks[0]) > stage
+            if (n, B) == (1000, 999):
+                assert (stage, len(chunks[-1]) % stage) == (32, 7)
             drawn = np.concatenate(chunks)
             assert drawn.dtype == dtype
             for want_dtype in (dtype, np.int32):
