@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dataio
-from .coefficients import METHODS, Method
+from .coefficients import METHODS, Method, pearson_r, score_sample
 from .errors import ConfigError, XiBoostError
 from .inference import (
     PermutationTestConfig,
@@ -37,7 +37,7 @@ from .simulation import (
 SEED_ENV_VAR = "XI_BOOST_SEED"
 
 # methods `test` calibrates by permutation, in table order
-_PERMUTATION_CHOICES = [m.value for m in Method if METHODS[m].score is not None]
+_PERMUTATION_CHOICES = [m.value for m in Method if METHODS[m].tested]
 
 
 def _int_list(text: str) -> list:
@@ -197,7 +197,8 @@ def _run_coef(parser, args) -> int:
     if args.jitter:
         seed = _resolve_seed(parser, args)
     sample = _load(args, seed)
-    result = METHODS[method].coefficient(sample, args.neighbors)
+    result = (pearson_r(sample) if method is Method.PEARSON
+              else score_sample(sample, method, args.neighbors)[0])
     if args.json:
         _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
     else:

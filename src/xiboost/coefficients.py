@@ -1,20 +1,20 @@
 """Correlation coefficients built on y-ranks in ascending-x order.
 
-All rank statistics accumulate integer min-rank sums exactly and perform a
-single float division at the end, so values are bit-identical across
-platforms. Exact rational variants back the enumeration and extremal-identity
-checks.
+All rank statistics accumulate integer scores exactly and perform a single
+float division at the end, so values are bit-identical across platforms.
+Exact rational variants back the enumeration and extremal-identity checks.
 
-Each sum has one kernel over a batch of rank rows: a coefficient is a batch
-of one int64 row, a permutation null a batch of drawn int16 or int32 rows.
-Every min-rank sum runs one pair-minimum loop over neighbor distances;
-symmetric-nn takes about M/2 full distances of it plus two windows M+1 wide,
-and the right-neighbor sums take min(M, n-1-M) distances. The loop takes a
-batch of narrow rows one cache-sized block of rows at a time and adds the
-minima of several distances in the row dtype before each int64 sum; the one
-int64 row takes one minimum and one int64 sum per distance. :data:`METHODS`
-says which methods take M (xi-nm, xi-nm-reflected, xi-pm, symmetric-nn) and
-which have a permutation test (xi-pm, symmetric-nn, hoeffding-d).
+:data:`METHODS` defines each rank statistic by its batch `score` kernel and
+its `scale`, and says which methods take M and which have a permutation
+test. A coefficient is the scaled score of a batch of one int64 row
+(:func:`score_sample`), a permutation null the scores of drawn int16 or
+int32 rows. Every min-rank sum runs one pair-minimum loop over neighbor
+distances; symmetric-nn takes about M/2 full distances of it plus two
+windows M+1 wide, and the right-neighbor sums take min(M, n-1-M)
+distances. The loop takes a batch of narrow rows one cache-sized block of
+rows at a time and adds the minima of several distances in the row dtype
+before each int64 sum; the one int64 row takes one minimum and one int64
+sum per distance.
 """
 
 from __future__ import annotations
@@ -205,17 +205,32 @@ def xi_fraction_from_min_sum(S: int, n: int, M: int) -> Fraction:
 # coefficients
 
 
+def _score_row(rs: np.ndarray, method: Method,
+               M: Optional[int] = None) -> tuple[CoefficientValue, int]:
+    """:func:`score_sample` of a row of y-ranks already in ascending-x order."""
+    spec = METHODS[method]
+    n = rs.size
+    M = validate_neighbor_count(n, M) if spec.needs_m else None
+    score = int(spec.score(rs[None], M)[0])
+    return CoefficientValue(value=spec.scale(score, n, M), method=method, n=n, M=M), score
+
+
+def score_sample(s: Sample, method: Method,
+                 M: Optional[int] = None) -> tuple[CoefficientValue, int]:
+    """The coefficient of a rank method of :data:`METHODS` and its exact
+    integer score: orders the sample (so a tie is reported before M or n is
+    checked), checks M when the method takes it and drops it otherwise,
+    scores the one row as a batch of one and scales the score."""
+    return _score_row(sorted_y_ranks(s), method, M)
+
+
 def chatterjee_xi(s: Sample) -> CoefficientValue:
     """Classic right-neighbor rank correlation, 1 - 3*sum|dR| / (n^2 - 1).
 
     The sum runs over consecutive rank differences in ascending-x order; the
     largest x pairs with itself and contributes nothing.
     """
-    rs = sorted_y_ranks(s)
-    n = rs.size
-    jumps = int(np.abs(np.diff(rs)).sum())
-    value = 1.0 - (3 * jumps) / (n * n - 1)
-    return CoefficientValue(value=value, method=Method.XI_CLASSIC, n=n)
+    return score_sample(s, Method.XI_CLASSIC)[0]
 
 
 def xi_nm(s: Sample, M: int) -> CoefficientValue:
@@ -224,49 +239,33 @@ def xi_nm(s: Sample, M: int) -> CoefficientValue:
     Normalized so the expectation under independence is exactly zero for any
     M in 1..n-1. Cost is O(n log n + n M).
     """
-    rs = sorted_y_ranks(s)
-    M = validate_neighbor_count(rs.size, M)
-    value = xi_from_min_sum(min_rank_sum(rs, M), rs.size, M)
-    return CoefficientValue(value=value, method=Method.XI_NM, n=rs.size, M=M)
+    return score_sample(s, Method.XI_NM, M)[0]
 
 
 def xi_nm_from_ranks(r: Sequence[int], ord: Optional[XOrder], M: int) -> CoefficientValue:
     """Same statistic as :func:`xi_nm`, evaluated from precomputed ranks.
 
-    `ord` sorts the x coordinate; pass None for the identity order, which is
-    the null-replicate fast path where the m-th right neighbor of index i is
-    simply i+m.
+    `ord` sorts the x coordinate and must have one position per rank; pass
+    None for the identity order, which is the null-replicate fast path where
+    the m-th right neighbor of index i is simply i+m.
     """
-    arr = np.asarray(r, dtype=np.int64)
+    arr = np.asarray(r)
     if not is_rank_permutation(arr):
         raise SizeError("r must be a permutation of 1..n")
-    rs = arr if ord is None else arr[ord.order]
-    M = validate_neighbor_count(rs.size, M)
-    value = xi_from_min_sum(min_rank_sum(rs, M), rs.size, M)
-    return CoefficientValue(value=value, method=Method.XI_NM, n=rs.size, M=M)
+    arr = arr.astype(np.int64, copy=False)
+    if ord is not None and ord.n != arr.size:
+        raise SizeError(f"ord orders {ord.n} values but r holds {arr.size} ranks")
+    return _score_row(arr if ord is None else arr[ord.order], Method.XI_NM, M)[0]
 
 
 def xi_nm_reflected(s: Sample, M: int) -> CoefficientValue:
     """:func:`xi_nm` on (x, -y), computed by rank reflection without re-sorting."""
-    rs = sorted_y_ranks(s)
-    M = validate_neighbor_count(rs.size, M)
-    _, reflected = batch_min_rank_sums(rs[None], M)
-    value = xi_from_min_sum(int(reflected[0]), rs.size, M)
-    return CoefficientValue(value=value, method=Method.XI_NM_REFLECTED, n=rs.size, M=M)
-
-
-def _two_direction_sums(rows: np.ndarray, M: int) -> np.ndarray:
-    """Row-wise max of the direct and reflected min-rank sums."""
-    return np.maximum(*batch_min_rank_sums(rows, M))
+    return score_sample(s, Method.XI_NM_REFLECTED, M)[0]
 
 
 def xi_pm(s: Sample, M: int) -> CoefficientValue:
     """Max of :func:`xi_nm` on (x, y) and on (x, -y); the two-direction test statistic."""
-    rs = sorted_y_ranks(s)
-    M = validate_neighbor_count(rs.size, M)
-    n = rs.size
-    best = int(_two_direction_sums(rs[None], M)[0])
-    return CoefficientValue(value=xi_from_min_sum(best, n, M), method=Method.XI_PM, n=n, M=M)
+    return score_sample(s, Method.XI_PM, M)[0]
 
 
 def symmetric_nn_sum(s: Sample, M: int) -> CoefficientValue:
@@ -276,10 +275,7 @@ def symmetric_nn_sum(s: Sample, M: int) -> CoefficientValue:
     right neighbor except the largest x. The statistic is left uncentered;
     calibrate it by permutation (any affine normalization would cancel).
     """
-    rs = sorted_y_ranks(s)
-    M = validate_neighbor_count(rs.size, M)
-    value = float(symmetric_min_sum(rs, M))
-    return CoefficientValue(value=value, method=Method.SYMMETRIC_NN, n=rs.size, M=M)
+    return score_sample(s, Method.SYMMETRIC_NN, M)[0]
 
 
 def pearson_r(s: Sample) -> CoefficientValue:
@@ -382,13 +378,16 @@ def hoeffding_d(s: Sample) -> CoefficientValue:
     over n(n-1)(n-2)(n-3)(n-4) in one correctly rounded division.
 
     Unscaled convention: the population functional ranges over [-1/60, 1/30],
-    with 0 under independence. Requires tie-free data and n >= 5.
+    with 0 under independence. Requires tie-free data and n >= 5, checked in
+    that order.
     """
-    if s.n < 5:
-        raise SizeError(f"Hoeffding's D needs n >= 5, got {s.n}")
-    numerator = int(batch_hoeffding_numerators(sorted_y_ranks(s)[None])[0])
-    value = numerator / hoeffding_denominator(s.n)
-    return CoefficientValue(value=value, method=Method.HOEFFDING_D, n=s.n)
+    return score_sample(s, Method.HOEFFDING_D)[0]
+
+
+def _hoeffding_scale(numerator: int, n: int, M: Optional[int]) -> float:
+    if n < 5:
+        raise SizeError(f"Hoeffding's D needs n >= 5, got {n}")
+    return numerator / hoeffding_denominator(n)
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +396,35 @@ def hoeffding_d(s: Sample) -> CoefficientValue:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Per-method facts. `coefficient(s, M)` takes M=None unless `needs_m`.
-    `score(rows, M)` gives exact integer scores of y-rank rows in ascending-x
-    order, larger for stronger dependence; it is None for a method without a
-    permutation test."""
+    """Per-method facts. A rank method's `score(rows, M)` gives exact integer
+    scores of a batch of y-rank rows in ascending-x order, and `scale(S, n,
+    M)` turns one score into the coefficient in one float step (a division,
+    or a cast for the raw symmetric-nn sum); M is None unless `needs_m`. A
+    `tested` method has a permutation test, which compares scores, so its
+    score is larger for stronger dependence. Pearson's r is no rank
+    statistic and has neither."""
 
     needs_m: bool
-    coefficient: Callable[[Sample, Optional[int]], CoefficientValue]
     score: Optional[Callable[[np.ndarray, Optional[int]], np.ndarray]] = None
+    scale: Optional[Callable[[int, int, Optional[int]], float]] = None
+    tested: bool = False
 
 
 METHODS: dict[Method, MethodSpec] = {
-    Method.XI_CLASSIC: MethodSpec(False, lambda s, M: chatterjee_xi(s)),
-    Method.XI_NM: MethodSpec(True, xi_nm),
-    Method.XI_NM_REFLECTED: MethodSpec(True, xi_nm_reflected),
-    Method.XI_PM: MethodSpec(True, xi_pm, _two_direction_sums),
-    Method.SYMMETRIC_NN: MethodSpec(True, symmetric_nn_sum, batch_symmetric_min_sums),
-    Method.PEARSON: MethodSpec(False, lambda s, M: pearson_r(s)),
-    Method.HOEFFDING_D: MethodSpec(False, lambda s, M: hoeffding_d(s),
-                                   lambda rows, M: batch_hoeffding_numerators(rows)),
+    Method.XI_CLASSIC: MethodSpec(
+        False, lambda rows, M: np.abs(np.diff(rows, axis=1)).sum(axis=1, dtype=np.int64),
+        lambda S, n, M: 1.0 - (3 * S) / (n * n - 1)),
+    Method.XI_NM: MethodSpec(True, lambda rows, M: batch_min_rank_sums(rows, M)[0],
+                             xi_from_min_sum),
+    Method.XI_NM_REFLECTED: MethodSpec(True, lambda rows, M: batch_min_rank_sums(rows, M)[1],
+                                       xi_from_min_sum),
+    Method.XI_PM: MethodSpec(True, lambda rows, M: np.maximum(*batch_min_rank_sums(rows, M)),
+                             xi_from_min_sum, tested=True),
+    Method.SYMMETRIC_NN: MethodSpec(True, batch_symmetric_min_sums,
+                                    lambda S, n, M: float(S), tested=True),
+    Method.PEARSON: MethodSpec(False),
+    Method.HOEFFDING_D: MethodSpec(False, lambda rows, M: batch_hoeffding_numerators(rows),
+                                   _hoeffding_scale, tested=True),
 }
 
 
@@ -498,6 +507,5 @@ def monotone_extremal_values_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
 
 def xi_nm_exact(s: Sample, M: int) -> Fraction:
     """Exact rational value of the statistic :func:`xi_nm` evaluates."""
-    rs = sorted_y_ranks(s)
-    M = validate_neighbor_count(rs.size, M)
-    return xi_fraction_from_min_sum(min_rank_sum(rs, M), rs.size, M)
+    value, score = score_sample(s, Method.XI_NM, M)
+    return xi_fraction_from_min_sum(score, value.n, value.M)

@@ -7,14 +7,18 @@ and valid for any n, B, and M. Replicate statistics are compared to the
 observed one on exact integer scores, so ties are resolved without any
 float edge cases.
 
-The permutation-testable methods are those with a batch score in
+The permutation-testable methods are the `tested` ones in
 :data:`~xiboost.coefficients.METHODS` (xi-pm, symmetric-nn, hoeffding-d);
-the test runs the same code for each of them. :func:`permutation_test`
-counts over all B rows for its p-value. :func:`permutation_reject`, which
-power studies call, keeps only the decision: it stops drawing once so many
-rows reach the observed score that the test must accept (the exact,
-decision-preserving form of the curtailed Monte Carlo test of Besag and
-Clifford, 1991), and always equals ``permutation_test(s, cfg).reject``.
+the test runs the same code for each of them. One
+:func:`~xiboost.coefficients.score_sample` call orders and scores the
+observed sample, giving both the reported statistic and the integer score
+the drawn rows, scored by the same table entry, are compared to.
+:func:`permutation_test` counts over all B rows for its p-value.
+:func:`permutation_reject`, which power studies call, keeps only the
+decision: it stops drawing once so many rows reach the observed score that
+the test must accept (the exact, decision-preserving form of the curtailed
+Monte Carlo test of Besag and Clifford, 1991), and always equals
+``permutation_test(s, cfg).reject``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .coefficients import (
     METHODS,
     Method,
     pearson_r,
+    score_sample,
     xi_denominator,
     xi_nm,
     xi_nm_from_ranks,
@@ -42,7 +47,6 @@ from .ranks import (
     derive_rng,
     max_batch_rows,
     rank_dtype,
-    sorted_y_ranks,
     validate_neighbor_count,
 )
 
@@ -64,7 +68,7 @@ class PermutationTestConfig:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         object.__setattr__(self, "method", Method(self.method))
         spec = METHODS[self.method]
-        if spec.score is None:
+        if not spec.tested:
             raise ConfigError(f"unsupported permutation-test method {self.method!r}")
         if spec.needs_m and self.M is None:
             raise ConfigError(f"method {self.method.value} requires M")
@@ -127,14 +131,6 @@ def _permutation_batches(rng: np.random.Generator, n: int, B: int):
         yield mat
 
 
-def _observed(s: Sample, cfg: PermutationTestConfig):
-    """The prologue of every permutation test: (statistic, observed score).
-    The coefficient runs first, so its checks (ties, a too-small n) raise
-    the same errors whichever entry point is called."""
-    spec = METHODS[cfg.method]
-    return spec.coefficient(s, cfg.M).value, spec.score(sorted_y_ranks(s)[None], cfg.M)[0]
-
-
 def _count_exceed(s: Sample, cfg: PermutationTestConfig, observed,
                   alpha: Optional[float] = None) -> int:
     """Number of the B null rows scoring >= `observed`, the one counting loop
@@ -153,17 +149,18 @@ def _count_exceed(s: Sample, cfg: PermutationTestConfig, observed,
 def permutation_test(s: Sample, cfg: PermutationTestConfig) -> TestResult:
     """Simulation-based independence test; deterministic given cfg.seed.
 
-    The observed sample is scored as its one row of y-ranks in ascending-x
-    order. Each replicate draws one uniform rank permutation and scores it as
-    such a row (right neighbors are positions i+m, so no sorting is needed).
+    The observed sample is ordered and scored once, as its one row of
+    y-ranks in ascending-x order. Each replicate draws one uniform rank
+    permutation and scores it as such a row (right neighbors are positions
+    i+m, so no sorting is needed).
     Cost is O(B n M) for the rank statistics and O(B n log^2 n) for
     Hoeffding's D, whose merge counting runs on a whole batch of rows at once.
     The p-value counts over all B rows.
     """
-    statistic, observed = _observed(s, cfg)
+    coefficient, observed = score_sample(s, cfg.method, cfg.M)
     p_value = (1 + _count_exceed(s, cfg, observed)) / (1 + cfg.B)
     return TestResult(
-        statistic=statistic,
+        statistic=coefficient.value,
         p_value=p_value,
         reject=p_value <= cfg.alpha,
         method=cfg.method,
@@ -183,7 +180,7 @@ def permutation_reject(s: Sample, cfg: PermutationTestConfig) -> bool:
     alpha: the test must then accept, whatever the remaining rows score.
     When 1 / (1 + B) > alpha, no row is drawn. A test that rejects still
     scores all B rows."""
-    _, observed = _observed(s, cfg)
+    _, observed = score_sample(s, cfg.method, cfg.M)
     return (1 / (1 + cfg.B) <= cfg.alpha
             and (1 + _count_exceed(s, cfg, observed, cfg.alpha)) / (1 + cfg.B) <= cfg.alpha)
 

@@ -13,7 +13,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, MRangeError, NonFiniteError, SizeError, TieError
+from .errors import ConfigError, DegenerateError, MRangeError, NonFiniteError, SizeError, TieError
+
+
+def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
+    """The one place a seed enters numpy; a negative seed raises
+    :class:`ConfigError`."""
+    if master_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {master_seed}")
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Deterministic child generator for (master_seed, *key).
@@ -22,14 +31,12 @@ def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     so results derived per replicate id never depend on scheduling or worker
     count.
     """
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(master_seed, key))
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
     """64-bit child seed for (master_seed, *key); companion to :func:`derive_rng`."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(master_seed, key).generate_state(1, np.uint64)[0])
 
 
 def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
@@ -245,6 +252,8 @@ def is_rank_permutation(r: np.ndarray) -> bool:
     """True when r holds each of 1..n exactly once."""
     arr = np.asarray(r)
     if arr.ndim != 1 or arr.size == 0:
+        return False
+    if arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all():  # 1.5 is no rank
         return False
     if arr.min() < 1 or arr.max() > arr.size:
         return False

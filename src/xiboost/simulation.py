@@ -34,9 +34,7 @@ import numpy as np
 from .coefficients import (
     METHODS,
     Method,
-    batch_min_rank_sums,
     gaussian_population_xi,
-    xi_from_min_sum,
     xi_nm,
     xi_pm,
 )
@@ -53,7 +51,7 @@ from .ranks import derive_rng, derive_seed, rank_dtype, row_chunks, validate_nei
 SCHEMA_VERSION = 1
 
 # the permutation-testable methods, and Pearson's r by its parametric t-test
-POWER_METHODS = tuple(m for m in Method if METHODS[m].score is not None) + (Method.PEARSON,)
+POWER_METHODS = tuple(m for m in Method if METHODS[m].tested) + (Method.PEARSON,)
 
 
 @dataclass(frozen=True)
@@ -200,8 +198,8 @@ def _null_chunk_task(args) -> np.ndarray:
     for k, rep in enumerate(range(start, stop)):
         rows[k] = derive_rng(seed, rep).permutation(n)
     rows += 1
-    direct, _ = batch_min_rank_sums(rows, M)
-    return xi_from_min_sum(direct, n, M)
+    spec = METHODS[Method.XI_NM]
+    return spec.scale(spec.score(rows, M), n, M)
 
 
 def null_calibration_study(n: int, M: int, replicates: int, seed: int,

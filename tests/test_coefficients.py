@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from xiboost import (
     DegenerateError,
     MRangeError,
+    PermutationTestConfig,
     RhoRangeError,
     Sample,
     SizeError,
@@ -24,6 +25,7 @@ from xiboost import (
     hoeffding_d,
     monotone_extremal_values_exact,
     pearson_r,
+    permutation_test,
     symmetric_nn_sum,
     x_order,
     xi_nm,
@@ -35,7 +37,9 @@ from xiboost import (
 from xiboost.coefficients import (
     HOEFFDING_INT64_MAX_N,
     METHODS,
+    CoefficientValue,
     Method,
+    MethodSpec,
     _earlier_smaller_counts,
     _pair_min_sums,
     batch_hoeffding_numerators,
@@ -195,6 +199,16 @@ class TestXiNM:
             s = random_sample(rng, n)
             via_ranks = xi_nm_from_ranks(compute_ranks(s.y), x_order(s.x), M)
             assert via_ranks.value == xi_nm(s, M).value
+
+    @pytest.mark.parametrize("r, ord", [
+        ([4, 1, 2, 3], x_order([0.5, 0.1, 0.2])),
+        ([1, 2, 3], x_order([0.5, 0.1, 0.2, 0.3])),
+        ([1.5, 2.0, 3.0], None),
+        ([1.0, 2.0, float("nan")], None),
+    ], ids=["order-shorter", "order-longer", "fractional-rank", "nan-rank"])
+    def test_from_ranks_rejects_bad_input(self, r, ord):
+        with pytest.raises(SizeError):
+            xi_nm_from_ranks(r, ord, 1)
 
     @given(st.permutations(list(range(1, 9))), st.integers(min_value=1, max_value=7))
     @settings(max_examples=60, deadline=None)
@@ -362,6 +376,9 @@ class TestBatchKernels:
             rs = rng.permutation(n) + 1
             assert min_rank_sum(rs, M) == batch_min_rank_sums(rs[None], M)[0][0]
             assert symmetric_min_sum(rs, M) == batch_symmetric_min_sums(rs[None], M)[0]
+            rx = rng.permutation(n) + 1
+            assert (hoeffding_numerator(rx, rs)
+                    == batch_hoeffding_numerators(rs[np.argsort(rx)][None])[0])
 
     @pytest.mark.parametrize("n", [*range(2, 13), 64, 65, 1000])
     def test_far_distance_switch(self, n):
@@ -424,6 +441,46 @@ class TestBatchKernels:
                 want = np.tile(np.arange(1, n + 1, dtype=want_dtype), (B, 1))
                 derive_rng(20).permuted(want, axis=1, out=want)
                 assert np.array_equal(drawn, want), (B, want_dtype)
+
+
+# each rank method's public coefficient, called as a user would
+PUBLIC_COEFFICIENTS = {
+    Method.XI_CLASSIC: lambda s, M: chatterjee_xi(s),
+    Method.XI_NM: xi_nm,
+    Method.XI_NM_REFLECTED: xi_nm_reflected,
+    Method.XI_PM: xi_pm,
+    Method.SYMMETRIC_NN: symmetric_nn_sum,
+    Method.HOEFFDING_D: lambda s, M: hoeffding_d(s),
+}
+
+
+class TestMethodTable:
+    """METHODS defines each rank statistic: its public coefficient is the
+    scaled score of the sample's one row, and its permutation test reports
+    that same coefficient."""
+
+    def test_every_rank_method_has_a_public_coefficient(self):
+        assert set(PUBLIC_COEFFICIENTS) == {m for m in Method if METHODS[m].score is not None}
+        assert METHODS[Method.PEARSON] == MethodSpec(False)
+        assert {m for m in Method if METHODS[m].tested} == {
+            Method.XI_PM, Method.SYMMETRIC_NN, Method.HOEFFDING_D}
+
+    @pytest.mark.parametrize("method", list(PUBLIC_COEFFICIENTS), ids=lambda m: m.value)
+    @pytest.mark.parametrize("kind", ["random", "identity", "reversed"])
+    def test_coefficient_is_the_scaled_score_of_one_row(self, method, kind):
+        spec = METHODS[method]
+        rng = derive_rng(33)
+        for n in (5, 12, 40):
+            x = np.arange(n) + rng.random(n) * 0.5
+            y = {"random": random_sample(rng, n).y, "identity": x.copy(), "reversed": -x}[kind]
+            s = Sample(x, y)
+            for M in ((1, n // 2, n - 1) if spec.needs_m else (None,)):
+                value = PUBLIC_COEFFICIENTS[method](s, M)
+                score = spec.score(sorted_y_ranks(s)[None], M)[0]
+                assert value == CoefficientValue(spec.scale(int(score), n, M), method, n, M)
+                if spec.tested:
+                    cfg = PermutationTestConfig(B=9, alpha=0.05, seed=n, method=method, M=M)
+                    assert permutation_test(s, cfg).statistic == value.value
 
 
 class TestPearson:

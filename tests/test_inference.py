@@ -1,6 +1,7 @@
 """Tests for the permutation and asymptotic independence tests and the exact
 null-moment utilities."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -27,7 +28,7 @@ from xiboost import (
     replicate_statistic_from_permutation,
     sample_rotation,
 )
-from xiboost import inference
+from xiboost import coefficients, inference
 from xiboost.coefficients import METHODS
 from xiboost.inference import permutation_reject
 
@@ -224,6 +225,31 @@ class TestPermutationReject:
             drawn.clear()
             assert permutation_reject(sample, cfg) is reject
             assert sum(drawn) in rows
+
+    @pytest.mark.parametrize("entry", [permutation_test, permutation_reject],
+                             ids=["test", "reject"])
+    @pytest.mark.parametrize("method, M", METHOD_M)
+    def test_observed_sample_is_scored_once(self, monkeypatch, method, M, entry):
+        """The observed sample is ordered once and its one row scored once;
+        every other score call takes a batch of drawn rows."""
+        orderings, observed_rows = [], []
+
+        def counting_order(s):
+            orderings.append(s)
+            return order(s)
+
+        def counting_score(rows, M):
+            if len(rows) == 1:
+                observed_rows.append(rows)
+            return spec.score(rows, M)
+
+        order, spec = coefficients.sorted_y_ranks, METHODS[method]
+        monkeypatch.setattr(coefficients, "sorted_y_ranks", counting_order)
+        monkeypatch.setattr(inference, "sorted_y_ranks", counting_order, raising=False)
+        monkeypatch.setitem(METHODS, method, dataclasses.replace(spec, score=counting_score))
+        cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method, M=M)
+        entry(sample_rotation(derive_rng(32), 40, 0.3), cfg)
+        assert (len(orderings), len(observed_rows)) == (1, 1)
 
     @pytest.mark.parametrize("method, M", METHOD_M)
     def test_tie_error_text_matches(self, method, M):

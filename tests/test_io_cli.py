@@ -302,25 +302,42 @@ class TestCli:
                              alpha=0.1, master_seed=5, workers=2),
         ]
 
+    NEGATIVE_SEED = "seed must be >= 0, got -1"
+
     @pytest.mark.parametrize("argv, message", [
-        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers 0",
+        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers 0 --seed 1",
          "workers must be >= 1, got 0"),
-        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers -3",
+        ("consistency --rho-values 0.4 --n-values 80 --M-values 2 --workers -3 --seed 1",
          "workers must be >= 1, got -3"),
-        ("null-calibration --n 100 -M 3 --replicates 20 --workers 0",
+        ("null-calibration --n 100 -M 3 --replicates 20 --workers 0 --seed 1",
          "workers must be >= 1, got 0"),
-        ("null-calibration --n 100 -M 3 --replicates 20 --workers -5",
+        ("null-calibration --n 100 -M 3 --replicates 20 --workers -5 --seed 1",
          "workers must be >= 1, got -5"),
-        ("consistency --rho-values , --n-values 80 --M-values 2",
+        ("consistency --rho-values , --n-values 80 --M-values 2 --seed 1",
          "rho_values must be nonempty"),
-        ("timing --n-values , --M-values 1", "n_values must be nonempty"),
-        ("timing --n-values 50 --M-values 2 --repetitions 2 --warmup -3",
+        ("timing --n-values , --M-values 1 --seed 1", "n_values must be nonempty"),
+        ("timing --n-values 50 --M-values 2 --repetitions 2 --warmup -3 --seed 1",
          "warmup must be >= 0, got -3"),
+        ("test --method xi-pm -M 2 -B 9 --seed -1 {data}", NEGATIVE_SEED),
+        ("test --method xi-pm -M 2 -B 9 {data}", NEGATIVE_SEED),
+        ("coef --method xi-nm -M 2 --jitter --seed -1 {data}", NEGATIVE_SEED),
+        ("power-study --n-values 30 --M-values 2 --rho0-values 0 --replicates 2 -B 9 "
+         "--seed -1", "cell (method=xi-pm, n=30, M=2, rho0=0.0) replicate 0, "
+                      f"seed key (-1, 0, 0): {NEGATIVE_SEED}"),
+        ("null-calibration --n 30 -M 2 --replicates 20 --seed -1", NEGATIVE_SEED),
+        ("consistency --rho-values 0.4 --n-values 30 --M-values 2 --replicates 2 --seed -1",
+         f"cell (rho=0.4, n=30, M=2) replicate 0, seed key (-1, 0, 0): {NEGATIVE_SEED}"),
+        ("timing --n-values 30 --M-values 2 --repetitions 2 --seed -1", NEGATIVE_SEED),
     ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
             "null-workers-neg", "consistency-empty-rho", "timing-empty-n",
-            "timing-warmup-neg"])
-    def test_study_setting_errors_exit_1(self, capsys, argv, message):
-        assert cli_dispatch(argv.split() + ["--seed", "1"]) == 1
+            "timing-warmup-neg", "test-seed-neg", "test-seed-env-neg", "coef-jitter-seed-neg",
+            "power-study-seed-neg", "null-seed-neg", "consistency-seed-neg",
+            "timing-seed-neg"])
+    def test_study_setting_errors_exit_1(self, capsys, monkeypatch, data_file, argv, message):
+        """One `xiboost: error:` line, no traceback; a negative seed, from
+        --seed or from the environment, is refused where it would seed numpy."""
+        monkeypatch.setenv("XI_BOOST_SEED", "-1")
+        assert cli_dispatch(argv.format(data=data_file).split()) == 1
         assert capsys.readouterr() == ("", f"xiboost: error: {message}\n")
 
     @pytest.mark.parametrize("argv", [

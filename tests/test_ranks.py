@@ -6,6 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from xiboost import (
+    ConfigError,
     DegenerateError,
     MRangeError,
     NonFiniteError,
@@ -292,3 +293,8 @@ class TestSeedDerivation:
         a = derive_rng(7, 3, 4).standard_normal(5)
         b = derive_rng(7, 3, 4).standard_normal(5)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("derive", [derive_rng, derive_seed])
+    def test_negative_seed_is_a_config_error(self, derive):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            derive(-1, 2)

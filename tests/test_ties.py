@@ -8,8 +8,10 @@ import pytest
 
 from xiboost import (
     Method,
+    MRangeError,
     PermutationTestConfig,
     Sample,
+    SizeError,
     TieError,
     compute_ranks,
     permutation_test,
@@ -17,7 +19,7 @@ from xiboost import (
     x_order,
 )
 from xiboost.cli import cli_dispatch
-from xiboost.coefficients import METHODS
+from xiboost.coefficients import METHODS, score_sample
 from xiboost.inference import permutation_reject
 
 TIED = [2.0, 1.0, 1.0, 1.0, 0.0]
@@ -29,7 +31,7 @@ def _m(method):
 
 
 def _coefficient(method):
-    return lambda s: METHODS[method].coefficient(s, _m(method))
+    return lambda s: score_sample(s, method, _m(method))
 
 
 def _permutation_test(method, test=permutation_test):
@@ -41,9 +43,9 @@ SAMPLE_ENTRY_POINTS = {
     "sorted_y_ranks": sorted_y_ranks,
     **{f"coefficient[{m.value}]": _coefficient(m) for m in Method if m is not Method.PEARSON},
     **{f"permutation_test[{m.value}]": _permutation_test(m)
-       for m in Method if METHODS[m].score is not None},
+       for m in Method if METHODS[m].tested},
     **{f"permutation_reject[{m.value}]": _permutation_test(m, permutation_reject)
-       for m in Method if METHODS[m].score is not None},
+       for m in Method if METHODS[m].tested},
 }
 
 # (entry point on a Sample, tied coordinate, coordinate the error names)
@@ -76,3 +78,42 @@ def test_tie_contract_cli_coef(coordinate, tmp_path, capsys):
     m = re.search(r"tied value (\S+) in (\w+) at positions (\d+) and (\d+)",
                   capsys.readouterr().err)
     assert (int(m[3]), int(m[4]), float(m[1]), m[2]) == (1, 2, 1.0, coordinate)
+
+
+def _test_entry(test):
+    return lambda s, method, M: test(
+        s, PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method, M=M))
+
+
+# (method, M, n, error of the second fault): M past n-1, or n < 5 for Hoeffding's D
+SECOND_FAULTS = [(Method.XI_NM, 5, 5, MRangeError), (Method.XI_PM, 5, 5, MRangeError),
+                 (Method.HOEFFDING_D, None, 4, SizeError)]
+TWO_FAULT_ENTRIES = {
+    "coefficient": score_sample,
+    "permutation_test": _test_entry(permutation_test),
+    "permutation_reject": _test_entry(permutation_reject),
+}
+
+
+@pytest.mark.parametrize("method, M, n, second, entry", [
+    pytest.param(method, M, n, second, entry, id=f"{name}[{method.value}]")
+    for method, M, n, second in SECOND_FAULTS
+    for name, entry in TWO_FAULT_ENTRIES.items()
+    if name == "coefficient" or METHODS[method].tested])
+def test_tie_is_reported_before_a_second_fault(method, M, n, second, entry):
+    """A tied sample that also has M out of range, or too few points for
+    Hoeffding's D, reports the tie; without the tie the other fault shows."""
+    with pytest.raises(TieError):
+        entry(Sample(TIED[:n], UNTIED[:n]), method, M)
+    with pytest.raises(second):
+        entry(Sample(UNTIED[:n], UNTIED[:n]), method, M)
+
+
+@pytest.mark.parametrize("method, M, n", [fault[:3] for fault in SECOND_FAULTS],
+                         ids=[fault[0].value for fault in SECOND_FAULTS])
+def test_tie_is_reported_before_a_second_fault_cli_coef(method, M, n, tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(TIED[:n], UNTIED[:n])))
+    argv = ["coef", "--method", method.value, str(path)] + (["-M", str(M)] if M else [])
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("xiboost: error: tied value 1.0 in x")
