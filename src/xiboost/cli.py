@@ -77,8 +77,6 @@ def _resolve_seed(parser: argparse.ArgumentParser, args) -> int:
 def _load(args, seed: Optional[int]):
     sample = dataio.load_sample(args.data)
     if args.jitter:
-        if seed is None:
-            raise ConfigError("--jitter needs a seed")
         sample = sample.jittered(seed)
     return sample
 
@@ -314,15 +312,12 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
                                   seed=seed)
             _emit_report(args, report)
             return 0
-        if args.command == "boundary":
-            return _run_boundary(parser, args)
-        parser.error(f"unknown command {args.command!r}")
+        return _run_boundary(parser, args)  # argparse has refused any other command
     except SystemExit as exc:  # parser.error inside handlers
         return int(exc.code or 0)
     except (XiBoostError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"xiboost: error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def main() -> None:

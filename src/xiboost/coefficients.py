@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateError, RhoRangeError, SizeError
+from .errors import ConfigError, DegenerateError, RhoRangeError, SizeError
 from .ranks import (
     Sample,
     XOrder,
@@ -209,6 +209,8 @@ def _score_row(rs: np.ndarray, method: Method,
                M: Optional[int] = None) -> tuple[CoefficientValue, int]:
     """:func:`score_sample` of a row of y-ranks already in ascending-x order."""
     spec = METHODS[method]
+    if spec.score is None:
+        raise ConfigError(f"method {Method(method).value} has no rank score; use pearson_r")
     n = rs.size
     M = validate_neighbor_count(n, M) if spec.needs_m else None
     score = int(spec.score(rs[None], M)[0])
@@ -483,7 +485,7 @@ def gaussian_population_xi(rho: float, tol: float = 1e-9) -> PopulationXi:
 
 def extremal_bounds_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
     """Exact (upper, lower) attainable range of the M-neighbor coefficient."""
-    validate_neighbor_count(n, M)
+    M = validate_neighbor_count(n, M)
     upper = 1 - Fraction(3 * (M + 1), 4 * n + M + 1)
     lower = Fraction(-1, 2) + Fraction(3 * (4 * n - (n + 1) * (M + 1)),
                                        2 * (n + 1) * (4 * n + M + 1))
@@ -499,7 +501,7 @@ def extremal_bounds(n: int, M: int) -> tuple[float, float]:
 def monotone_extremal_values_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
     """Exact coefficient when y is a strictly increasing resp. decreasing
     function of x. The increasing case coincides with the upper range bound."""
-    validate_neighbor_count(n, M)
+    M = validate_neighbor_count(n, M)
     increasing = 1 - Fraction(3 * (M + 1), 4 * n + M + 1)
     decreasing = 1 - Fraction((M + 1) * (15 * n - 8 * M - 1), (n + 1) * (4 * n + M + 1))
     return increasing, decreasing

@@ -39,6 +39,13 @@ def _parses(token: str) -> bool:
     return True
 
 
+def _head(line: str) -> tuple[str, bool]:
+    """The delimiter of the first nonblank line, tab if it holds one and comma
+    otherwise, and whether that line is a header: none of its fields parses."""
+    delimiter = "\t" if "\t" in line else ","
+    return delimiter, not any(_parses(f) for f in line.split(delimiter))
+
+
 def load_sample(path: Union[str, Path]) -> Sample:
     """Read a two-column numeric file into a Sample.
 
@@ -74,9 +81,7 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
     end = text.find("\n", start)
     if end < 0:
         return None  # one nonblank line holds at most one row
-    line = text[start:end].strip()
-    delimiter = "\t" if "\t" in line else ","
-    header = not any(_parses(f) for f in line.split(delimiter))
+    delimiter, header = _head(text[start:end].strip())
     skiprows = text.count("\n", 0, end + 1 if header else start)
     del text  # np.loadtxt reads the file itself; hold no copy meanwhile
     with warnings.catch_warnings():
@@ -99,25 +104,15 @@ def _scan_sample(path: Union[str, Path]) -> Sample:
     xs: list[float] = []
     ys: list[float] = []
     delimiter = None
-    saw_data_or_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if delimiter is None:
-            delimiter = "\t" if "\t" in line else ","
+            delimiter, header = _head(line)
+            if header:
+                continue
         fields = [f.strip() for f in line.split(delimiter)]
-        if not saw_data_or_header:
-            saw_data_or_header = True
-            parses = []
-            for f in fields:
-                try:
-                    _parse_float(f)
-                    parses.append(True)
-                except ValueError:
-                    parses.append(False)
-            if not any(parses):
-                continue  # header row
         if len(fields) != 2:
             raise ParseError(lineno, len(fields) if len(fields) < 2 else 3,
                              f"expected 2 columns, found {len(fields)}")

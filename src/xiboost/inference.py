@@ -70,9 +70,12 @@ class PermutationTestConfig:
         spec = METHODS[self.method]
         if not spec.tested:
             raise ConfigError(f"unsupported permutation-test method {self.method!r}")
-        if spec.needs_m and self.M is None:
-            raise ConfigError(f"method {self.method.value} requires M")
-        if not spec.needs_m and self.M is not None:
+        if spec.needs_m:
+            if self.M is None:
+                raise ConfigError(f"method {self.method.value} requires M")
+            # the observed row, the null rows and the result all read this plain int
+            object.__setattr__(self, "M", validate_neighbor_count(None, self.M))
+        elif self.M is not None:
             raise ConfigError(f"method {self.method.value} does not take M")
 
 

@@ -57,6 +57,6 @@ def regime_ok(n: int, M: int) -> bool:
     """Advisory check that (n, M) plausibly sits in the regime where the
     local-power guarantees apply: M well above log n and M (log n)^{3/2}
     well below n. Heuristic, not an error condition."""
-    validate_neighbor_count(n, M)
+    M = validate_neighbor_count(n, M)
     ln = math.log(n)
     return M >= ln and M * ln ** 1.5 <= n

@@ -9,7 +9,7 @@ conversions happen inside this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -240,10 +240,15 @@ def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
     return [(start, min(total, start + rows)) for start in range(0, total, rows)]
 
 
-def validate_neighbor_count(n: int, M: int) -> int:
-    """Check 1 <= M <= n-1 and return M as a plain int."""
+def validate_neighbor_count(n: Optional[int], M) -> int:
+    """The one reading of M: a Python or numpy integer, or a float with no
+    fractional part, in 1..n-1 (only the first half when n is None). Returns
+    a plain int; anything else raises :class:`MRangeError`."""
+    if not ((isinstance(M, (int, np.integer)) and not isinstance(M, bool))
+            or (isinstance(M, (float, np.floating)) and M.is_integer())):
+        raise MRangeError(f"M must be a whole number, got {M!r}")
     M = int(M)
-    if not 1 <= M <= n - 1:
+    if n is not None and not 1 <= M <= n - 1:
         raise MRangeError(f"M must satisfy 1 <= M <= n-1 = {n - 1}, got {M}")
     return M
 

@@ -46,7 +46,8 @@ from .inference import (
     permutation_reject,
 )
 from .power import sample_rotation
-from .ranks import derive_rng, derive_seed, rank_dtype, row_chunks, validate_neighbor_count
+from .ranks import (_seed_sequence, derive_rng, derive_seed, rank_dtype, row_chunks,
+                    validate_neighbor_count)
 
 SCHEMA_VERSION = 1
 
@@ -74,7 +75,7 @@ class PowerStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "M_values", tuple(int(m) for m in self.M_values))
+        object.__setattr__(self, "M_values", tuple(self.M_values))
         object.__setattr__(self, "rho0_values", tuple(float(r) for r in self.rho0_values))
         methods = tuple(self.methods)
         for name in methods:  # an unknown name, or a method without a test
@@ -140,7 +141,9 @@ def _run_replicates(task, cells: list, replicates: int, master_seed: int,
                     workers: int) -> list:
     """`task(cell, key)` for every replicate of every cell, one pool task each,
     with seed key (master_seed, cell index, replicate). Returns each cell's
-    results in replicate order; a failure names its cell, replicate and key."""
+    results in replicate order; a failure names its cell, replicate and key.
+    A negative master seed is refused before any task starts."""
+    _seed_sequence(master_seed, ())
     tasks = [(task, cell, (master_seed, ci, ri))
              for ci, cell in enumerate(cells) for ri in range(replicates)]
     results = _map_tasks(_replicate_task, tasks, workers)
@@ -166,11 +169,12 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
     cells = [{"method": method.value, "n": n, "M": M, "rho0": rho0}
              for method in cfg.methods
              for n in cfg.n_values
-             for M in (cfg.M_values if METHODS[method].needs_m else (None,))
+             for M in ([validate_neighbor_count(n, m) for m in cfg.M_values]
+                       if METHODS[method].needs_m else (None,))
              for rho0 in cfg.rho0_values]
     for cell in cells:
-        if cell["M"] is not None:
-            validate_neighbor_count(cell["n"], cell["M"])
+        if cell["n"] < 2:
+            raise ConfigError(f"n must be >= 2, got {cell['n']}")
         if not abs(cell["rho0"] / math.sqrt(cell["n"])) < 1.0:
             raise ConfigError(f"rho0={cell['rho0']} gives |rho| >= 1 at n={cell['n']}")
     task = functools.partial(_power_replicate, cfg.B, cfg.alpha)
@@ -216,6 +220,7 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     if replicates < 2:
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
     M = validate_neighbor_count(n, M)
+    _seed_sequence(seed, ())  # a negative seed is refused before any task starts
     tasks = [(n, M, seed, start, stop) for start, stop in row_chunks(n, replicates)]
     values = np.concatenate(_map_tasks(_null_chunk_task, tasks, workers))
     var_asym = null_variance_asymptotic(n, M)
@@ -255,10 +260,9 @@ def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
     if replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     _require_nonempty(rho_values=rho_values, n_values=n_values, M_values=M_values)
-    cells = [{"rho": float(rho), "n": int(n), "M": int(M)}
-             for rho in rho_values for n in n_values for M in M_values]
+    cells = [{"rho": float(rho), "n": n, "M": validate_neighbor_count(n, M)}
+             for rho in rho_values for n in map(int, n_values) for M in M_values]
     for cell in cells:
-        validate_neighbor_count(cell["n"], cell["M"])
         if not -1.0 < cell["rho"] < 1.0:
             raise ConfigError(f"rho={cell['rho']} outside (-1, 1)")
     rows = []
@@ -296,9 +300,7 @@ def timing_study(n_values: Sequence[int], M_values: Sequence[int],
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
     _require_nonempty(n_values=n_values, M_values=M_values)
-    cells = [(int(n), int(M)) for n in n_values for M in M_values]
-    for n, M in cells:
-        validate_neighbor_count(n, M)
+    cells = [(n, validate_neighbor_count(n, M)) for n in map(int, n_values) for M in M_values]
     rows = []
     for ci, (n, M) in enumerate(cells):
         rng = derive_rng(seed, ci)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xiboost import (
+    ConfigError,
     DegenerateError,
     MRangeError,
     PermutationTestConfig,
@@ -48,6 +49,7 @@ from xiboost.coefficients import (
     hoeffding_denominator,
     hoeffding_numerator,
     min_rank_sum,
+    score_sample,
     symmetric_min_sum,
     xi_fraction_from_min_sum,
 )
@@ -464,6 +466,12 @@ class TestMethodTable:
         assert METHODS[Method.PEARSON] == MethodSpec(False)
         assert {m for m in Method if METHODS[m].tested} == {
             Method.XI_PM, Method.SYMMETRIC_NN, Method.HOEFFDING_D}
+
+    @pytest.mark.parametrize("method", [Method.PEARSON, "pearson"], ids=["enum", "name"])
+    def test_score_sample_of_pearson_names_the_method(self, method):
+        s = Sample([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
+        with pytest.raises(ConfigError, match="^method pearson has no rank score; use pearson_r$"):
+            score_sample(s, method)
 
     @pytest.mark.parametrize("method", list(PUBLIC_COEFFICIENTS), ids=lambda m: m.value)
     @pytest.mark.parametrize("kind", ["random", "identity", "reversed"])

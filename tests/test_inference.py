@@ -352,6 +352,8 @@ class TestNullMomentsEnumerate:
     def test_size_guard(self):
         with pytest.raises(SizeError):
             null_moments_enumerate(9, 1)
+        with pytest.raises(SizeError, match="^need n >= 2, got 1$"):
+            null_moments_enumerate(1, 1)
 
 
 class TestFastPathEquivalence:

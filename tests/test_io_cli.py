@@ -99,6 +99,11 @@ class TestReportSerialization:
         report = self.make_report()
         assert report_from_csv(report_to_csv(report)) == report
 
+    def test_csv_row_width_must_match_header(self):
+        text = report_to_csv(self.make_report()).replace(",500\n", ",500,1\n", 1)
+        with pytest.raises(ParseError, match="row width does not match header"):
+            report_from_csv(text)
+
     def test_csv_17_digit_floats(self):
         text = report_to_csv(self.make_report())
         assert format(0.8510000000000001, ".17g") in text
@@ -180,6 +185,19 @@ class TestCli:
         assert cli_dispatch(["coef", "--method", "xi-nm", data_file]) == 2  # missing -M
         assert cli_dispatch(["test", "--method", "xi-pm", "-M", "2", data_file]) == 2  # no seed
         assert cli_dispatch(["no-such-command"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        ("test --method xi-pm -M 2 -B 9 {data}", "XI_BOOST_SEED='abc' is not an integer"),
+        ("boundary --gamma-grid 0.1:0.9", "--gamma-grid must look like START:STOP:STEP"),
+        ("boundary --gamma-grid 0.1:0.9:0", "--gamma-grid step must be positive"),
+        ("boundary --n 100", "boundary needs --gamma-grid or both --n and --M-values"),
+    ], ids=["seed-env-not-int", "boundary-grid-shape", "boundary-grid-step",
+            "boundary-nothing"])
+    def test_usage_error_messages_exit_2(self, capsys, monkeypatch, data_file, argv, message):
+        monkeypatch.setenv("XI_BOOST_SEED", "abc")
+        assert cli_dispatch(argv.format(data=data_file).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["test", "--method", "xi-pm"], "--method xi-pm requires -M"),
@@ -322,20 +340,53 @@ class TestCli:
         ("test --method xi-pm -M 2 -B 9 {data}", NEGATIVE_SEED),
         ("coef --method xi-nm -M 2 --jitter --seed -1 {data}", NEGATIVE_SEED),
         ("power-study --n-values 30 --M-values 2 --rho0-values 0 --replicates 2 -B 9 "
-         "--seed -1", "cell (method=xi-pm, n=30, M=2, rho0=0.0) replicate 0, "
-                      f"seed key (-1, 0, 0): {NEGATIVE_SEED}"),
+         "--seed -1", NEGATIVE_SEED),
+        ("power-study --n-values 30 --M-values 2 --rho0-values 0 --replicates 2 -B 9 "
+         "--workers 2 --seed -1", NEGATIVE_SEED),
         ("null-calibration --n 30 -M 2 --replicates 20 --seed -1", NEGATIVE_SEED),
+        ("null-calibration --n 30 -M 2 --replicates 70000 --workers 2 --seed -1",
+         NEGATIVE_SEED),
         ("consistency --rho-values 0.4 --n-values 30 --M-values 2 --replicates 2 --seed -1",
-         f"cell (rho=0.4, n=30, M=2) replicate 0, seed key (-1, 0, 0): {NEGATIVE_SEED}"),
+         NEGATIVE_SEED),
+        ("consistency --rho-values 0.4 --n-values 30 --M-values 2 --replicates 2 "
+         "--workers 2 --seed -1", NEGATIVE_SEED),
         ("timing --n-values 30 --M-values 2 --repetitions 2 --seed -1", NEGATIVE_SEED),
+        ("power-study --n-values 0 --methods pearson --seed 1", "n must be >= 2, got 0"),
+        ("power-study --n-values -4 --methods pearson --seed 1", "n must be >= 2, got -4"),
+        ("power-study --n-values 1 --methods pearson --seed 1", "n must be >= 2, got 1"),
+        ("power-study --n-values 4 --rho0-values 2 --methods pearson --seed 1",
+         "rho0=2.0 gives |rho| >= 1 at n=4"),
+        ("power-study --replicates 0 --seed 1", "replicates must be >= 1, got 0"),
+        ("power-study -B 0 --seed 1", "B must be >= 1, got 0"),
+        ("power-study --workers 0 --seed 1", "workers must be >= 1, got 0"),
+        ("null-calibration --n 30 -M 2 --replicates 1 --seed 1",
+         "replicates must be >= 2, got 1"),
+        ("consistency --rho-values 0.4 --n-values 30 --M-values 2 --replicates 0 --seed 1",
+         "replicates must be >= 1, got 0"),
+        ("consistency --rho-values 1 --n-values 30 --M-values 2 --seed 1",
+         "rho=1.0 outside (-1, 1)"),
+        ("timing --n-values 30 --M-values 2 --repetitions 0 --seed 1",
+         "repetitions must be >= 1, got 0"),
+        ("test --method xi-asymptotic -M 2 --alpha 0 {data}", "alpha must lie in (0, 1), got 0.0"),
+        ("test --method pearson --alpha 1.5 {data}", "alpha must lie in (0, 1), got 1.5"),
     ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
             "null-workers-neg", "consistency-empty-rho", "timing-empty-n",
             "timing-warmup-neg", "test-seed-neg", "test-seed-env-neg", "coef-jitter-seed-neg",
-            "power-study-seed-neg", "null-seed-neg", "consistency-seed-neg",
-            "timing-seed-neg"])
+            "power-study-seed-neg", "power-study-seed-neg-workers-2", "null-seed-neg",
+            "null-seed-neg-workers-2", "consistency-seed-neg",
+            "consistency-seed-neg-workers-2", "timing-seed-neg", "power-study-n-0",
+            "power-study-n-neg", "power-study-n-1", "power-study-rho-1",
+            "power-study-replicates-0", "power-study-B-0", "power-study-workers-0",
+            "null-replicates-1", "consistency-replicates-0", "consistency-rho-1",
+            "timing-repetitions-0", "asymptotic-alpha-0", "pearson-alpha-1.5"])
     def test_study_setting_errors_exit_1(self, capsys, monkeypatch, data_file, argv, message):
-        """One `xiboost: error:` line, no traceback; a negative seed, from
-        --seed or from the environment, is refused where it would seed numpy."""
+        """One `xiboost: error:` line, no traceback, and no process pool; a
+        negative seed, from --seed or from the environment, is refused before
+        any task starts."""
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("XI_BOOST_SEED", "-1")
         assert cli_dispatch(argv.format(data=data_file).split()) == 1
         assert capsys.readouterr() == ("", f"xiboost: error: {message}\n")
@@ -355,15 +406,16 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config, message", [
-        ("n-values=abc\n", "'n_values'"),
-        ("workers=x\n", "'workers'"),
-    ], ids=["n_values", "workers"])
+        ("n-values=abc\n", "config key 'n_values'"),
+        ("workers=x\n", "config key 'workers'"),
+        ("bogus=1\n", "unknown config key 'bogus'"),
+    ], ids=["n_values", "workers", "unknown-key"])
     def test_power_study_bad_config_value_exits_1(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(config + "seed=1\n")
         assert cli_dispatch(["power-study", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("xiboost: error: config key " + message)
+        assert err.startswith("xiboost: error: " + message)
 
     def test_power_study_unknown_method_exits_1(self, capsys):
         assert cli_dispatch(["power-study", "--methods", "bogus", "--seed", "1"]) == 1

@@ -8,20 +8,37 @@ from hypothesis import strategies as st
 from xiboost import (
     ConfigError,
     DegenerateError,
+    Method,
     MRangeError,
     NonFiniteError,
+    PermutationTestConfig,
+    PowerStudyConfig,
     Sample,
     SizeError,
     TieError,
+    asymptotic_test,
     compute_ranks,
+    consistency_study,
     derive_rng,
     derive_seed,
+    extremal_bounds_exact,
+    null_variance_asymptotic,
+    permutation_test,
+    power_study,
     random_rank_permutation,
     reflect_ranks,
+    regime_ok,
     right_neighbor,
+    sample_rotation,
     sorted_y_ranks,
+    timing_study,
     x_order,
+    xi_nm,
+    zeta,
 )
+from xiboost.coefficients import score_sample
+from xiboost.dataio import report_to_json
+from xiboost.ranks import validate_neighbor_count
 
 
 class TestComputeRanks:
@@ -188,6 +205,10 @@ class TestSample:
         with pytest.raises(SizeError):
             Sample([1.0], [1.0])
 
+    def test_two_dimensional_coordinate(self):
+        with pytest.raises(SizeError, match=r"^x must be one-dimensional, got shape \(2, 2\)$"):
+            Sample([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0])
+
     def test_non_finite(self):
         with pytest.raises(NonFiniteError):
             Sample([1.0, float("nan")], [1.0, 2.0])
@@ -298,3 +319,67 @@ class TestSeedDerivation:
     def test_negative_seed_is_a_config_error(self, derive):
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             derive(-1, 2)
+
+
+RULE_SAMPLE = sample_rotation(derive_rng(41), 30, 0.6)
+
+
+def _timing_cells(M):
+    report = timing_study([30], [M], repetitions=1, warmup=0, seed=1)
+    return [(row["n"], row["M"]) for row in report.rows]
+
+
+# every entry point that takes M, called with it as a user would; repr (and a
+# report's JSON) tells a plain int from a numpy integer or a float
+M_ENTRY_POINTS = {
+    "xi_nm": lambda M: xi_nm(RULE_SAMPLE, M),
+    "score_sample": lambda M: score_sample(RULE_SAMPLE, Method.SYMMETRIC_NN, M),
+    "permutation_test": lambda M: permutation_test(RULE_SAMPLE, PermutationTestConfig(
+        B=19, alpha=0.05, seed=3, method=Method.XI_PM, M=M)),
+    "asymptotic_test": lambda M: asymptotic_test(RULE_SAMPLE, M, 0.05, override=True),
+    "null_variance_asymptotic": lambda M: null_variance_asymptotic(30, M),
+    "zeta": lambda M: zeta(30, M),
+    "regime_ok": lambda M: regime_ok(10_000, M),
+    "extremal_bounds_exact": lambda M: extremal_bounds_exact(30, M),
+    "power_study": lambda M: report_to_json(power_study(PowerStudyConfig(
+        n_values=[30], M_values=[M], rho0_values=[2.0], methods=["xi-pm", "symmetric-nn"],
+        replicates=3, B=19, master_seed=1))),
+    "consistency_study": lambda M: report_to_json(
+        consistency_study([0.5], [30], [M], replicates=3, seed=1)),
+    "timing_study": _timing_cells,
+}
+
+
+class TestNeighborCountRule:
+    """`validate_neighbor_count` is the one reading of M: every entry point
+    computes with the plain int it returns, or raises its MRangeError."""
+
+    @pytest.mark.parametrize("M", [np.int64(3), np.int32(3), 3.0, np.float64(3.0)],
+                             ids=["int64", "int32", "float", "float64"])
+    @pytest.mark.parametrize("entry", M_ENTRY_POINTS)
+    def test_whole_numbers_act_as_the_plain_int(self, entry, M):
+        assert repr(M_ENTRY_POINTS[entry](M)) == repr(M_ENTRY_POINTS[entry](3))
+
+    @pytest.mark.parametrize("M", [2.5, np.float64(9.5), "3", None, True, float("nan")],
+                             ids=["2.5", "float64-9.5", "str", "None", "bool", "nan"])
+    @pytest.mark.parametrize("entry", M_ENTRY_POINTS)
+    def test_other_values_raise_m_range_error(self, entry, M):
+        with pytest.raises((MRangeError, ConfigError)):
+            M_ENTRY_POINTS[entry](M)
+
+    def test_plain_int_results(self):
+        assert type(validate_neighbor_count(10, np.int64(3))) is int
+        assert type(validate_neighbor_count(None, 3.0)) is int
+        cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method=Method.XI_PM, M=3.0)
+        assert type(cfg.M) is int
+        assert type(permutation_test(RULE_SAMPLE, cfg).M) is int
+
+    def test_range_and_whole_number_halves(self):
+        assert validate_neighbor_count(None, 0) == 0  # no n: only the whole-number half
+        with pytest.raises(MRangeError, match=r"^M must be a whole number, got 2\.5$"):
+            validate_neighbor_count(None, 2.5)
+        for M in (0, 10):
+            with pytest.raises(MRangeError, match=rf"^M must satisfy 1 <= M <= n-1 = 9, got {M}$"):
+                validate_neighbor_count(10, M)
+        with pytest.raises(MRangeError, match="got 10$"):
+            validate_neighbor_count(10, 10.0)
