@@ -40,12 +40,22 @@ SEED_ENV_VAR = "XI_BOOST_SEED"
 _PERMUTATION_CHOICES = [m.value for m in Method if METHODS[m].tested]
 
 
+def _comma_list(text: str, cast, kind: str) -> list:
+    """The nonblank comma-separated tokens of `text`, each cast; a bad token
+    raises an error that argparse prints as it stands, naming `kind`."""
+    try:
+        return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of {kind}, got {text!r}") from None
+
+
 def _int_list(text: str) -> list:
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> list:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    return _comma_list(text, float, "numbers")
 
 
 def _name_list(text: str) -> list:
@@ -242,7 +252,7 @@ def _power_config(parser, args) -> PowerStudyConfig:
             field, cast = _POWER_SETTINGS[key.lower()]
             try:
                 settings[field] = cast(value)
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ConfigError(f"config key {key!r}: {exc}") from None
     for field, _ in _POWER_SETTINGS.values():
         flag = getattr(args, field, None)

@@ -13,8 +13,8 @@ distances; symmetric-nn takes about M/2 full distances of it plus two
 windows M+1 wide, and the right-neighbor sums take min(M, n-1-M)
 distances. The loop takes a batch of narrow rows one cache-sized block of
 rows at a time and adds the minima of several distances in the row dtype
-before each int64 sum; the one int64 row takes one minimum and one int64
-sum per distance.
+before each int64 sum, which runs over long rows of the block; the one int64
+row takes one minimum and one int64 sum per distance.
 """
 
 from __future__ import annotations
@@ -92,7 +92,10 @@ def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
     Narrower rows (the int16 and int32 permutation draws) are transposed one
     cache-sized block of rows (:func:`ranks.block_rows`) at a time. The
     minima of G consecutive distances are added up in the row dtype, and
-    each group takes one int64 column sum. With V the largest magnitude in
+    each group takes one int64 column sum, run over rows of at least 512
+    entries by :func:`_column_sums`: a block holds few rows when n is large
+    (6 int16 rows at n = 20000), and a plain column sum over so narrow a
+    block cost more than the minima. With V the largest magnitude in
     the rows, G = max(1, dtype max // V), so a running sum of G minima stays
     within [-G V, G V] and cannot wrap: G = 32 for int16 ranks at n = 1000,
     and G = 1 from n = 16384. The bound comes from the values, not from the
@@ -122,7 +125,32 @@ def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
             for d in range(head + 1, min(head + group, last + 1)):
                 np.minimum(cols[: n - d], cols[d:], out=mins[: n - d])
                 sums[: n - d] += mins[: n - d]
-            out[start:start + step] += sums[: n - head].sum(axis=0, dtype=np.int64)
+            out[start:start + step] += _column_sums(sums[: n - head])
+    return out
+
+
+# Least length of the rows :func:`_column_sums` reduces over.
+_SUM_ROW_LENGTH = 512
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """int64 column sums of a C-contiguous (m, k) array, taken over rows of
+    at least :data:`_SUM_ROW_LENGTH` entries.
+
+    A column sum of a narrow block is a strided reduction whose inner loop
+    runs k entries long, and it gets slower as k shrinks. So each r =
+    ceil(512 / k) consecutive rows are viewed as one row of r k entries (no
+    copy), those rows are summed, the r partial rows are folded into k
+    columns, and the m % r tail rows are added. On a (20000, 6) int16 block
+    (n = 20000) this took 70-90 µs against 470 µs for the plain column sum
+    (2-vCPU Xeon host).
+    """
+    m, k = a.shape
+    r = -(-_SUM_ROW_LENGTH // k)
+    whole = m - m % r
+    out = a[:whole].reshape(whole // r, r * k).sum(axis=0, dtype=np.int64)
+    out = out.reshape(r, k).sum(axis=0)
+    out += a[whole:].sum(axis=0, dtype=np.int64)
     return out
 
 

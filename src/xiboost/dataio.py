@@ -46,6 +46,20 @@ def _head(line: str) -> tuple[str, bool]:
     return delimiter, not any(_parses(f) for f in line.split(delimiter))
 
 
+def _read_text(path: Union[str, Path]) -> str:
+    """The UTF-8 text of `path`, with each "\\r\\n" and "\\r" read as "\\n" as
+    ``open`` reads text. A byte that is not UTF-8 raises :class:`ParseError`
+    naming its line and, counted in characters, its column."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = (data[: exc.start].decode("utf-8") + "x").splitlines()
+        raise ParseError(len(head), len(head[-1]),
+                         f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
 def load_sample(path: Union[str, Path]) -> Sample:
     """Read a two-column numeric file into a Sample.
 
@@ -62,7 +76,8 @@ def load_sample(path: Union[str, Path]) -> Sample:
     ``np.loadtxt`` would decompress, or a path that is not a regular file (a
     pipe can be read only once). The scanner gives the same values and is
     the one source of the :class:`ParseError` line and column and of the
-    :class:`SizeError`, so a malformed file is read twice.
+    :class:`SizeError`, so a malformed file is read twice. A file that is not
+    UTF-8 raises :class:`ParseError` at the line of its first bad byte.
     """
     sample = _load_vectorized(path)
     return sample if sample is not None else _scan_sample(path)
@@ -73,7 +88,7 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
     path = Path(path)
     if not path.is_file() or path.suffix in _LOADTXT_DECOMPRESSED:
         return None  # a pipe cannot be read twice
-    text = path.read_text()
+    text = _read_text(path)
     first = re.search(r"\S", text)
     if first is None or any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
         return None
@@ -100,7 +115,7 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
 
 def _scan_sample(path: Union[str, Path]) -> Sample:
     """Line-by-line reading of :func:`load_sample`'s format, naming the first bad cell."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     xs: list[float] = []
     ys: list[float] = []
     delimiter = None
@@ -239,9 +254,9 @@ def write_report(report: StudyReport, path: Union[str, Path], fmt: str = None) -
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:
-    """Read a key=value file mirroring CLI flags; '#' starts a comment."""
+    """Read a UTF-8 key=value file mirroring CLI flags; '#' starts a comment."""
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -43,6 +43,7 @@ from .coefficients import (
 from .errors import ConfigError, RegimeError, SizeError
 from .ranks import (
     Sample,
+    _seed_sequence,
     block_rows,
     derive_rng,
     max_batch_rows,
@@ -66,6 +67,7 @@ class PermutationTestConfig:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _seed_sequence(self.seed, ())  # a negative seed fails here, for both entry points
         object.__setattr__(self, "method", Method(self.method))
         spec = METHODS[self.method]
         if not spec.tested:

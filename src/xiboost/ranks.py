@@ -230,16 +230,6 @@ def block_rows(n: int, itemsize: int) -> int:
     return max(1, BLOCK_BYTES // (max(n, 1) * itemsize))
 
 
-def row_chunks(n: int, total: int) -> list[tuple[int, int]]:
-    """(start, stop) chunks of `total` rows of width `n`, `max_batch_rows(n)`
-    each: the memory cap for code that builds a (k, n) batch matrix. It is
-    not a scheduling rule (pooled studies leave that to
-    `simulation._map_tasks`), and it depends only on (n, total), never on the
-    worker count."""
-    rows = max_batch_rows(n)
-    return [(start, min(total, start + rows)) for start in range(0, total, rows)]
-
-
 def validate_neighbor_count(n: Optional[int], M) -> int:
     """The one reading of M: a Python or numpy integer, or a float with no
     fractional part, in 1..n-1 (only the first half when n is None). Returns

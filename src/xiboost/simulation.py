@@ -6,11 +6,13 @@ replicate index), never from worker identity, so reports are byte-identical
 for any worker count. Timing studies are the one exception: wall-clock
 medians are physical measurements and cannot be reproduced bitwise.
 
-Power and consistency studies run one pool task per replicate through
-`_run_replicates`. `_map_tasks` is the one scheduling rule: its pool
-chunksize alone decides how tasks are batched onto workers. Null calibration
-keeps `ranks.row_chunks`, the memory cap on the (k, n) rank matrix each of
-its tasks feeds to the batch kernel.
+A pooled study's unit of work is a block of replicates of one cell, and
+`_replicate_blocks` is the one rule that cuts them: about 8 blocks per
+worker, each within `ranks.max_batch_rows(n)` rows. `_map_tasks` runs one
+pool task per block. A power block runs its replicates one by one. A
+consistency block orders each replicate's sample into one row of a narrow
+rank batch and scores the whole block with one batch-kernel call, and a null
+calibration block draws its permutation rows into such a batch.
 
 A power replicate keeps only its test's accept/reject, so it calls
 `inference.permutation_reject`: the replicate's null draws stop once so many
@@ -22,6 +24,7 @@ p-value, still use all B rows.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import statistics
@@ -35,7 +38,7 @@ from .coefficients import (
     METHODS,
     Method,
     gaussian_population_xi,
-    xi_nm,
+    xi_from_min_sum,
     xi_pm,
 )
 from .errors import ConfigError, StudyError, XiBoostError
@@ -46,8 +49,8 @@ from .inference import (
     permutation_reject,
 )
 from .power import sample_rotation
-from .ranks import (_seed_sequence, derive_rng, derive_seed, rank_dtype, row_chunks,
-                    validate_neighbor_count)
+from .ranks import (_seed_sequence, derive_rng, derive_seed, max_batch_rows, rank_dtype,
+                    sorted_y_ranks, validate_neighbor_count)
 
 SCHEMA_VERSION = 1
 
@@ -92,8 +95,6 @@ class PowerStudyConfig:
             raise ConfigError(f"B must be >= 1, got {self.B}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -112,42 +113,69 @@ def _require_nonempty(**grids) -> None:
             raise ConfigError(f"{name} must be nonempty")
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """The one scheduling rule for pooled studies: run tasks in submission order,
-    batched onto the pool by chunksize ceil(tasks / (workers * 8)). Results
-    are position-aligned with tasks, so aggregation never depends on
-    scheduling."""
+def _replicate_blocks(ns: Sequence[int], replicates: int,
+                      workers: int) -> list[tuple[int, int, int]]:
+    """The one rule for chunking pooled work: (cell index, start, stop)
+    blocks of each cell's replicates 0..replicates-1, where cell ci has
+    sample size ns[ci]. A block holds at most ceil(cells * replicates /
+    (workers * 8)) replicates, so each worker takes about 8 blocks, and at
+    most `ranks.max_batch_rows(n)`, the memory cap of a (k, n) rank batch.
+    Blocks never change a result, only which process computes it. `workers`
+    is checked here, before any block exists."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    per = math.ceil(len(ns) * replicates / (workers * 8))
+    blocks = []
+    for ci, n in enumerate(ns):
+        size = min(per, max_batch_rows(n))
+        blocks += [(ci, start, min(replicates, start + size))
+                   for start in range(0, replicates, size)]
+    return blocks
+
+
+def _map_tasks(fn, tasks: list, workers: int) -> list:
+    """`fn` over tasks in submission order, one pool task each when workers > 1.
+    Results are position-aligned with tasks, so aggregation never depends on
+    scheduling."""
     if workers == 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    chunksize = max(1, math.ceil(len(tasks) / (workers * 8)))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunksize))
+        return list(pool.map(fn, tasks))
 
 
-def _replicate_task(args):
-    task, cell, key = args
+@contextlib.contextmanager
+def _replicate(cell: dict, key: tuple):
+    """Re-raise a domain error of one replicate as a StudyError naming its
+    cell, replicate and seed key."""
     try:
-        return task(cell, key)
+        yield
     except XiBoostError as exc:
         where = ", ".join(f"{k}={v}" for k, v in cell.items())
         raise StudyError(f"cell ({where}) replicate {key[2]}, seed key {key}: {exc}") from exc
 
 
+def _block_task(args):
+    task, cell, keys = args
+    return task(cell, keys)
+
+
 def _run_replicates(task, cells: list, replicates: int, master_seed: int,
                     workers: int) -> list:
-    """`task(cell, key)` for every replicate of every cell, one pool task each,
-    with seed key (master_seed, cell index, replicate). Returns each cell's
-    results in replicate order; a failure names its cell, replicate and key.
-    A negative master seed is refused before any task starts."""
+    """`task(cell, keys)` for every block of :func:`_replicate_blocks`, where
+    keys are the block's seed keys (master_seed, cell index, replicate) and
+    the task returns one result per key. Returns each cell's results in
+    replicate order. A negative master seed and workers < 1 are refused
+    before any task starts."""
     _seed_sequence(master_seed, ())
-    tasks = [(task, cell, (master_seed, ci, ri))
-             for ci, cell in enumerate(cells) for ri in range(replicates)]
-    results = _map_tasks(_replicate_task, tasks, workers)
-    return [results[ci * replicates:(ci + 1) * replicates] for ci in range(len(cells))]
+    blocks = _replicate_blocks([cell["n"] for cell in cells], replicates, workers)
+    tasks = [(task, cells[ci], [(master_seed, ci, ri) for ri in range(start, stop)])
+             for ci, start, stop in blocks]
+    results = [[] for _ in cells]
+    for (ci, _, _), block in zip(blocks, _map_tasks(_block_task, tasks, workers)):
+        results[ci] += block
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +192,15 @@ def _power_replicate(B: int, alpha: float, cell: dict, key: tuple) -> int:
     return int(permutation_reject(s, cfg))
 
 
+def _power_block(B: int, alpha: float, cell: dict, keys: list) -> list:
+    """A block of power replicates, run one by one."""
+    flags = []
+    for key in keys:
+        with _replicate(cell, key):
+            flags.append(_power_replicate(B, alpha, cell, key))
+    return flags
+
+
 def power_study(cfg: PowerStudyConfig) -> StudyReport:
     """Rejection frequency per (method, n, M, rho0) cell over seeded replicates."""
     cells = [{"method": method.value, "n": n, "M": M, "rho0": rho0}
@@ -177,7 +214,7 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
             raise ConfigError(f"n must be >= 2, got {cell['n']}")
         if not abs(cell["rho0"] / math.sqrt(cell["n"])) < 1.0:
             raise ConfigError(f"rho0={cell['rho0']} gives |rho| >= 1 at n={cell['n']}")
-    task = functools.partial(_power_replicate, cfg.B, cfg.alpha)
+    task = functools.partial(_power_block, cfg.B, cfg.alpha)
     flags = _run_replicates(task, cells, cfg.replicates, cfg.master_seed, cfg.workers)
     rows = [{**cell,
              "rejection_frequency": sum(cell_flags) / cfg.replicates,
@@ -196,7 +233,7 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
 # null calibration
 
 
-def _null_chunk_task(args) -> np.ndarray:
+def _null_block_task(args) -> np.ndarray:
     (n, M, seed, start, stop) = args
     rows = np.empty((stop - start, n), dtype=rank_dtype(n))
     for k, rep in enumerate(range(start, stop)):
@@ -221,8 +258,9 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
         raise ConfigError(f"replicates must be >= 2, got {replicates}")
     M = validate_neighbor_count(n, M)
     _seed_sequence(seed, ())  # a negative seed is refused before any task starts
-    tasks = [(n, M, seed, start, stop) for start, stop in row_chunks(n, replicates)]
-    values = np.concatenate(_map_tasks(_null_chunk_task, tasks, workers))
+    tasks = [(n, M, seed, start, stop)
+             for _, start, stop in _replicate_blocks([n], replicates, workers)]
+    values = np.concatenate(_map_tasks(_null_block_task, tasks, workers))
     var_asym = null_variance_asymptotic(n, M)
     variance = float(values.var(ddof=1))
     row = {
@@ -248,8 +286,18 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
 # consistency
 
 
-def _consistency_replicate(cell: dict, key: tuple) -> float:
-    return xi_nm(sample_rotation(derive_rng(*key), cell["n"], cell["rho"]), cell["M"]).value
+def _consistency_block(cell: dict, keys: list) -> list:
+    """The coefficients of a block of replicates: each replicate's sample is
+    ordered into one row of a narrow rank batch, and the batch is scored by
+    one kernel call. Each value equals the replicate's `xi_nm(...).value`
+    bit for bit: the kernel's scores are exact, and each is scaled as a
+    Python int."""
+    n, M = cell["n"], cell["M"]
+    rows = np.empty((len(keys), n), dtype=rank_dtype(n))
+    for row, key in zip(rows, keys):
+        with _replicate(cell, key):
+            row[...] = sorted_y_ranks(sample_rotation(derive_rng(*key), n, cell["rho"]))
+    return [xi_from_min_sum(int(S), n, M) for S in METHODS[Method.XI_NM].score(rows, M)]
 
 
 def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
@@ -266,7 +314,7 @@ def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
         if not -1.0 < cell["rho"] < 1.0:
             raise ConfigError(f"rho={cell['rho']} outside (-1, 1)")
     rows = []
-    for cell, results in zip(cells, _run_replicates(_consistency_replicate, cells,
+    for cell, results in zip(cells, _run_replicates(_consistency_block, cells,
                                                     replicates, seed, workers)):
         values = np.asarray(results, dtype=np.float64)
         q25, q50, q75 = np.quantile(values, [0.25, 0.5, 0.75])

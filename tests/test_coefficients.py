@@ -41,6 +41,7 @@ from xiboost.coefficients import (
     CoefficientValue,
     Method,
     MethodSpec,
+    _column_sums,
     _earlier_smaller_counts,
     _pair_min_sums,
     batch_hoeffding_numerators,
@@ -407,6 +408,36 @@ class TestBatchKernels:
         assert min(want) > 2 ** 31
         assert _pair_min_sums(window, 1, 2)[0] == sum(want)
         assert _pair_min_sums(window, 2, 2)[0] == want[1]
+
+    @pytest.mark.parametrize("m, k", [(1, 6), (85, 6), (86, 6), (1000, 6), (2000, 1),
+                                      (513, 1), (40, 512), (300, 600), (7, 131)],
+                             ids=["m1", "m-below-r", "m-eq-r", "m-mod-r", "k1", "k1-tail",
+                                  "k512", "k600", "k131-m-below-r"])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_column_sums_against_brute_force(self, m, k, dtype):
+        """Rows are summed r = ceil(512 / k) at a time: blocks shorter than r
+        rows, a tail of m % r rows, one column, and columns that already
+        make a long row (r = 1). Entries sit at the dtype's extremes."""
+        info = np.iinfo(dtype)
+        a = derive_rng(27, m, k).integers(info.min, info.max, (m, k), endpoint=True,
+                                          dtype=dtype)
+        a[0, 0], a[-1, -1] = info.min, info.max
+        want = [sum(col) for col in a.T.tolist()]
+        got = _column_sums(a)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_long_rows_with_one_distance_per_group(self, dtype):
+        """At n = 20000 int16 rows add one distance per group (G = 1), so
+        every distance takes a column sum of a block of 6 int16 or 3 int32
+        rows. One row more than a block makes a second, one-row block."""
+        n = 20000
+        assert np.iinfo(np.int16).max // n == 1
+        rows = kernel_cases(derive_rng(28), n, block_rows(n, np.dtype(dtype).itemsize) + 1,
+                            dtype)
+        for M in (1, 4):
+            self.check_against_references(rows, M)
 
     @pytest.mark.parametrize("fill", [32767, -32768])
     @pytest.mark.parametrize("width", [2 ** 16, 2 ** 16 + 2])

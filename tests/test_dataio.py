@@ -152,6 +152,21 @@ class TestLoaderMatchesScanner:
         finally:
             os.close(r)
 
+    @pytest.mark.parametrize("data, line, column", [
+        (b"x,y\n1,2\n3,\xff4\n", 3, 3),
+        (b"\xff", 1, 1),
+        (b"1,2\r\n3,4\r\n\xe9,6\r\n", 3, 1),
+        (b"1,2\r3,4\r5,\x80\r", 3, 3),
+        (b"\xc3\xa9,2\n3,4\n5,6\xc3", 3, 4),  # a valid two-byte character, then a cut one
+    ], ids=["lf", "only-byte", "crlf", "cr", "cut-sequence"])
+    def test_not_utf8_names_line_of_first_bad_byte(self, tmp_path, data, line, column):
+        p = tmp_path / "d.csv"
+        p.write_bytes(data)
+        assert_same(p)
+        with pytest.raises(ParseError, match="is not UTF-8$") as exc:
+            load_sample(p)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_columns_are_contiguous(self, tmp_path):
         s = load_sample(write(tmp_path, "1,2\n3,4\n5,6\n"))
         assert s.x.flags.c_contiguous and s.y.flags.c_contiguous

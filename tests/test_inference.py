@@ -66,6 +66,22 @@ class TestConfigValidation:
         cfg = PermutationTestConfig(B=9, alpha=0.05, seed=1, method="symmetric-nn", M=2)
         assert cfg.method is Method.SYMMETRIC_NN
 
+    @pytest.mark.parametrize("entry", [permutation_test, permutation_reject],
+                             ids=["test", "reject"])
+    @pytest.mark.parametrize("B, alpha, method, M", [
+        (9, 0.05, "xi-pm", 2),  # 1/(1+B) > alpha: permutation_reject draws no row
+        (99, 0.05, "xi-pm", 2),
+        (9, 0.05, "hoeffding-d", None),
+        (99, 0.5, "symmetric-nn", 3),
+    ])
+    @pytest.mark.parametrize("seed", [-1, -(2 ** 40)])
+    def test_negative_seed_refused_by_both_entry_points(self, entry, B, alpha, method, M,
+                                                         seed):
+        s = sample_rotation(derive_rng(2), 50, 0.0)
+        with pytest.raises(ConfigError, match=rf"^seed must be >= 0, got {seed}$"):
+            entry(s, PermutationTestConfig(B=B, alpha=alpha, seed=seed, method=method, M=M))
+        entry(s, PermutationTestConfig(B=B, alpha=alpha, seed=0, method=method, M=M))
+
 
 class TestPermutationTest:
     def test_p_value_formula_when_observed_beats_all(self):

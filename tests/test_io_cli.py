@@ -130,6 +130,13 @@ class TestConfigFile:
         with pytest.raises(ParseError):
             parse_config_file(p)
 
+    def test_not_utf8(self, tmp_path):
+        p = tmp_path / "study.cfg"
+        p.write_bytes(b"# grid\nn-values=1000\nmethods=xi-\xffpm\n")
+        with pytest.raises(ParseError) as exc:
+            parse_config_file(p)
+        assert str(exc.value) == "line 3, column 12: byte 0xff is not UTF-8"
+
 
 @pytest.fixture
 def data_file(tmp_path):
@@ -198,6 +205,24 @@ class TestCli:
         assert cli_dispatch(argv.format(data=data_file).split()) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ("power-study --n-values abc --seed 1",
+         "argument --n-values: expected a comma list of integers, got 'abc'"),
+        ("power-study --M-values 1,2.5 --seed 1",
+         "argument --M-values: expected a comma list of integers, got '1,2.5'"),
+        ("power-study --rho0-values 0,x --seed 1",
+         "argument --rho0-values: expected a comma list of numbers, got '0,x'"),
+        ("consistency --rho-values a --n-values 80 --M-values 2 --seed 1",
+         "argument --rho-values: expected a comma list of numbers, got 'a'"),
+        ("timing --n-values 50 --M-values two --seed 1",
+         "argument --M-values: expected a comma list of integers, got 'two'"),
+    ], ids=["n-values", "M-values", "rho0-values", "rho-values", "timing-M-values"])
+    def test_list_flag_errors_name_the_expected_list(self, capsys, argv, message):
+        assert cli_dispatch(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+        assert "_int_list" not in captured.err and "_float_list" not in captured.err
 
     @pytest.mark.parametrize("argv, message", [
         (["test", "--method", "xi-pm"], "--method xi-pm requires -M"),
@@ -406,7 +431,8 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config, message", [
-        ("n-values=abc\n", "config key 'n_values'"),
+        ("n-values=abc\n",
+         "config key 'n_values': expected a comma list of integers, got 'abc'"),
         ("workers=x\n", "config key 'workers'"),
         ("bogus=1\n", "unknown config key 'bogus'"),
     ], ids=["n_values", "workers", "unknown-key"])
@@ -416,6 +442,18 @@ class TestCli:
         assert cli_dispatch(["power-study", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("xiboost: error: " + message)
+
+    @pytest.mark.parametrize("argv, content, where", [
+        (["coef", "--method", "xi-nm", "-M", "2", "{path}"], b"x,y\n1,2\n\xff,4\n",
+         "line 3, column 1"),
+        (["power-study", "--config", "{path}", "--seed", "1"], b"n-values=30\nb=\xff9\n",
+         "line 2, column 3"),
+    ], ids=["coef-data", "power-study-config"])
+    def test_not_utf8_input_exits_1(self, tmp_path, capsys, argv, content, where):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        assert cli_dispatch([a.format(path=path) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"xiboost: error: {where}: byte 0xff is not UTF-8\n")
 
     def test_power_study_unknown_method_exits_1(self, capsys):
         assert cli_dispatch(["power-study", "--methods", "bogus", "--seed", "1"]) == 1

@@ -14,11 +14,15 @@ from xiboost import (
     gaussian_population_xi,
     null_calibration_study,
     null_variance_asymptotic,
+    derive_rng,
     power_study,
+    sample_rotation,
     timing_study,
     xi_nm,
 )
 from xiboost.dataio import report_to_json
+from xiboost.ranks import max_batch_rows
+from xiboost.simulation import _consistency_block, _replicate_blocks
 
 
 SMALL_CFG = dict(n_values=[40], M_values=[2], rho0_values=[0.0, 3.0],
@@ -138,13 +142,13 @@ class TestConsistencyStudy:
     def test_replicate_failure_names_replicate_and_seed_key(self, monkeypatch):
         calls = []
 
-        def failing_xi_nm(s, M):
-            calls.append(M)
+        def failing_sample_rotation(rng, n, rho):
+            calls.append(n)
             if len(calls) == 8:  # cell 1, replicate 2
                 raise DegenerateError("injected")
-            return xi_nm(s, M)
+            return sample_rotation(rng, n, rho)
 
-        monkeypatch.setattr("xiboost.simulation.xi_nm", failing_xi_nm)
+        monkeypatch.setattr("xiboost.simulation.sample_rotation", failing_sample_rotation)
         with pytest.raises(StudyError) as exc:
             consistency_study([0.0, 0.3], [50], [2], replicates=5, seed=9, workers=1)
         assert str(exc.value) == ("cell (rho=0.3, n=50, M=2) replicate 2, "
@@ -163,6 +167,48 @@ class TestConsistencyStudy:
         a = consistency_study([0.3], [100], [2, 4], replicates=50, seed=5, workers=1)
         b = consistency_study([0.3], [100], [2, 4], replicates=50, seed=5, workers=2)
         assert report_to_json(a) == report_to_json(b)
+
+
+class TestReplicateBlocks:
+    @pytest.mark.parametrize("ns, replicates, workers", [
+        ([40], 1, 1), ([40, 40], 5, 1), ([40, 40], 5, 2), ([1000], 20_000, 1),
+        ([1000], 20_000, 2), ([100_000, 50], 300, 2), ([5000] * 5, 300, 2), ([30], 7, 64),
+    ])
+    def test_blocks_cover_each_cell_within_both_caps(self, ns, replicates, workers):
+        blocks = _replicate_blocks(ns, replicates, workers)
+        per = -(-len(ns) * replicates // (workers * 8))
+        covered = {ci: [] for ci in range(len(ns))}
+        for ci, start, stop in blocks:
+            assert 0 < stop - start <= min(per, max_batch_rows(ns[ci]))
+            covered[ci] += range(start, stop)
+        assert all(covered[ci] == list(range(replicates)) for ci in covered)
+        assert [ci for ci, _, _ in blocks] == sorted(ci for ci, _, _ in blocks)
+
+    def test_block_sizes(self):
+        # 2 cells x 5 replicates on one worker: ceil(10 / 8) = 2 per block
+        assert _replicate_blocks([50, 50], 5, 1) == [
+            (0, 0, 2), (0, 2, 4), (0, 4, 5), (1, 0, 2), (1, 2, 4), (1, 4, 5)]
+        # n = 1000 caps a block at 2000 rows
+        assert _replicate_blocks([1000], 20_000, 1) == [
+            (0, start, start + 2000) for start in range(0, 20_000, 2000)]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_checked_before_any_block(self, workers):
+        with pytest.raises(ConfigError, match=f"^workers must be >= 1, got {workers}$"):
+            _replicate_blocks([50], 5, workers)
+
+    @pytest.mark.parametrize("n, sizes", [
+        (50, [1, 4, 3]), (5000, [3, 1, 2]), (20000, [2, 1]), (40000, [1, 2]),
+    ], ids=["n50", "n5000", "n20000-int16", "n40000-int32"])
+    def test_consistency_block_equals_xi_nm(self, n, sizes):
+        cell = {"rho": 0.4, "n": n, "M": 7}
+        start = 0
+        for size in sizes:
+            keys = [(11, 3, ri) for ri in range(start, start + size)]
+            expected = [xi_nm(sample_rotation(derive_rng(*key), n, 0.4), 7).value
+                        for key in keys]
+            assert _consistency_block(cell, keys) == expected
+            start += size
 
 
 class TestTimingStudy:
