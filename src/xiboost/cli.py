@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import dataio
-from .coefficients import METHODS, Method, pearson_r, score_sample
+from .coefficients import METHODS, TESTED_METHODS, Method, pearson_r, score_sample
 from .errors import ConfigError, XiBoostError
 from .inference import (
     PermutationTestConfig,
@@ -37,7 +37,7 @@ from .simulation import (
 SEED_ENV_VAR = "XI_BOOST_SEED"
 
 # methods `test` calibrates by permutation, in table order
-_PERMUTATION_CHOICES = [m.value for m in Method if METHODS[m].tested]
+_PERMUTATION_CHOICES = [m.value for m in TESTED_METHODS]
 
 
 def _comma_list(text: str, cast, kind: str) -> list:

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, RhoRangeError, SizeError
+from .errors import ConfigError, DegenerateError, SizeError
 from .ranks import (
     Sample,
     XOrder,
@@ -36,6 +36,7 @@ from .ranks import (
     is_rank_permutation,
     sorted_y_ranks,
     validate_neighbor_count,
+    validate_rho,
 )
 
 
@@ -457,6 +458,17 @@ METHODS: dict[Method, MethodSpec] = {
                                    _hoeffding_scale, tested=True),
 }
 
+TESTED_METHODS = tuple(m for m in Method if METHODS[m].tested)
+
+
+def validate_method(method, choices: tuple, purpose: str) -> Method:
+    """The one reading of a method setting: a :class:`Method` or its name among
+    `choices`; anything else raises :class:`ConfigError` naming the choices."""
+    if method not in choices:
+        raise ConfigError(f"method {getattr(method, 'value', method)} has no {purpose}; "
+                          "choose from " + ",".join(m.value for m in choices))
+    return Method(method)
+
 
 # ---------------------------------------------------------------------------
 # population measure for the Gaussian rotation model
@@ -499,11 +511,10 @@ def gaussian_population_xi(rho: float, tol: float = 1e-9) -> PopulationXi:
     adaptive quadrature; the marginal-variance denominator is exactly 1/6, so
     only the numerator is integrated. Even in rho, 0 at independence.
     """
-    if not -1.0 < rho < 1.0:
-        raise RhoRangeError(f"rho must lie in (-1, 1), got {rho}")
+    rho = validate_rho(rho)
     if rho == 0.0:
         return PopulationXi(rho=0.0, xi=0.0, quadrature_tolerance=tol)
-    return PopulationXi(rho=float(rho), xi=_population_xi_value(abs(float(rho)), tol),
+    return PopulationXi(rho=rho, xi=_population_xi_value(abs(rho), tol),
                         quadrature_tolerance=tol)
 
 

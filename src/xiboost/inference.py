@@ -23,6 +23,7 @@ Monte Carlo test of Besag and Clifford, 1991), and always equals
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,28 +34,34 @@ import numpy as np
 
 from .coefficients import (
     METHODS,
+    TESTED_METHODS,
     Method,
     pearson_r,
     score_sample,
     xi_denominator,
     xi_nm,
     xi_nm_from_ranks,
+    validate_method,
 )
 from .errors import ConfigError, RegimeError, SizeError
 from .ranks import (
     Sample,
-    _seed_sequence,
     block_rows,
     derive_rng,
     max_batch_rows,
     rank_dtype,
+    validate_alpha,
+    validate_count,
     validate_neighbor_count,
 )
 
 
 @dataclass(frozen=True)
 class PermutationTestConfig:
-    """Settings for the simulation-based independence test."""
+    """Settings for the simulation-based independence test. Each field holds
+    the plain value its rule returns: B a count >= 1 and seed one >= 0, alpha
+    in (0, 1), method a tested one and M, given exactly when the method
+    `needs_m`, a whole number (an :class:`MRangeError` if not)."""
 
     B: int
     alpha: float
@@ -63,20 +70,15 @@ class PermutationTestConfig:
     M: Optional[int] = None
 
     def __post_init__(self):
-        if self.B < 1:
-            raise ConfigError(f"B must be >= 1, got {self.B}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        _seed_sequence(self.seed, ())  # a negative seed fails here, for both entry points
-        object.__setattr__(self, "method", Method(self.method))
-        spec = METHODS[self.method]
-        if not spec.tested:
-            raise ConfigError(f"unsupported permutation-test method {self.method!r}")
-        if spec.needs_m:
+        store = functools.partial(object.__setattr__, self)
+        store("B", validate_count("B", self.B, 1))
+        store("alpha", validate_alpha(self.alpha))
+        store("seed", validate_count("seed", self.seed, 0))
+        store("method", validate_method(self.method, TESTED_METHODS, "permutation test"))
+        if METHODS[self.method].needs_m:
             if self.M is None:
                 raise ConfigError(f"method {self.method.value} requires M")
-            # the observed row, the null rows and the result all read this plain int
-            object.__setattr__(self, "M", validate_neighbor_count(None, self.M))
+            store("M", validate_neighbor_count(None, self.M))
         elif self.M is not None:
             raise ConfigError(f"method {self.method.value} does not take M")
 
@@ -199,8 +201,7 @@ def asymptotic_test(s: Sample, M: int, alpha: float, override: bool = False) -> 
     """
     from scipy.special import ndtr
 
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = validate_alpha(alpha)
     n = s.n
     M = validate_neighbor_count(n, M)
     if M ** 4 > n and not override:
@@ -226,8 +227,7 @@ def pearson_test(s: Sample, alpha: float) -> TestResult:
     """Two-sided parametric t-test on the Pearson correlation."""
     from scipy.stats import t as student_t
 
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = validate_alpha(alpha)
     r = pearson_r(s).value
     n = s.n
     if abs(r) >= 1.0:

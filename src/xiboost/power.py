@@ -13,14 +13,13 @@ import math
 
 import numpy as np
 
-from .errors import GammaRangeError, RhoRangeError
-from .ranks import Sample, validate_neighbor_count
+from .errors import GammaRangeError
+from .ranks import Sample, validate_neighbor_count, validate_rho
 
 
 def sample_rotation(rng: np.random.Generator, n: int, rho: float) -> Sample:
     """n i.i.d. pairs with standard normal marginals and correlation rho."""
-    if not -1.0 < rho < 1.0:
-        raise RhoRangeError(f"rho must lie in (-1, 1), got {rho}")
+    rho = validate_rho(rho)
     x = rng.standard_normal(n)
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
     return Sample(x, y)

@@ -8,20 +8,19 @@ conversions happen inside this module.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateError, MRangeError, NonFiniteError, SizeError, TieError
+from .errors import (ConfigError, DegenerateError, MRangeError, NonFiniteError, RhoRangeError,
+                     SizeError, TieError)
 
 
 def _seed_sequence(master_seed: int, key: tuple) -> np.random.SeedSequence:
-    """The one place a seed enters numpy; a negative seed raises
-    :class:`ConfigError`."""
-    if master_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {master_seed}")
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+    """The one place a seed enters numpy, read by :func:`validate_count`."""
+    return np.random.SeedSequence(entropy=validate_count("seed", master_seed, 0), spawn_key=key)
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -165,9 +164,7 @@ def right_neighbor(ord: XOrder, i: int, m: int) -> int:
     n = ord.n
     if not 1 <= i <= n:
         raise IndexError(f"index {i} out of range 1..{n}")
-    if m < 1:
-        raise MRangeError(f"m must be >= 1, got {m}")
-    p = int(ord.pos[i - 1]) + m
+    p = int(ord.pos[i - 1]) + validate_count("m", m, 1, MRangeError)
     if p >= n:
         return i
     return int(ord.order[p]) + 1
@@ -181,9 +178,7 @@ def reflect_ranks(r: Sequence[int]) -> np.ndarray:
 
 def random_rank_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform random permutation of 1..n (Fisher-Yates, via numpy)."""
-    if n < 1:
-        raise SizeError(f"n must be >= 1, got {n}")
-    return rng.permutation(n).astype(np.int64) + 1
+    return rng.permutation(validate_count("n", n, 1, SizeError)).astype(np.int64) + 1
 
 
 def sorted_y_ranks(s: Sample) -> np.ndarray:
@@ -230,17 +225,54 @@ def block_rows(n: int, itemsize: int) -> int:
     return max(1, BLOCK_BYTES // (max(n, 1) * itemsize))
 
 
+def _is_whole(value) -> bool:
+    """M's and every count's test: an integer (no bool) or a float with no fractional part."""
+    return ((isinstance(value, (int, np.integer)) and not isinstance(value, bool))
+            or (isinstance(value, (float, np.floating)) and value.is_integer()))
+
+
 def validate_neighbor_count(n: Optional[int], M) -> int:
-    """The one reading of M: a Python or numpy integer, or a float with no
-    fractional part, in 1..n-1 (only the first half when n is None). Returns
-    a plain int; anything else raises :class:`MRangeError`."""
-    if not ((isinstance(M, (int, np.integer)) and not isinstance(M, bool))
-            or (isinstance(M, (float, np.floating)) and M.is_integer())):
+    """The one reading of M: a whole number in 1..n-1 (only the first half
+    when n is None), returned as a plain int; anything else raises
+    :class:`MRangeError`."""
+    if not _is_whole(M):
         raise MRangeError(f"M must be a whole number, got {M!r}")
     M = int(M)
     if n is not None and not 1 <= M <= n - 1:
         raise MRangeError(f"M must satisfy 1 <= M <= n-1 = {n - 1}, got {M}")
     return M
+
+
+def validate_count(name: str, value, least: int, error: type = ConfigError) -> int:
+    """The one reading of a count (B, replicates, repetitions, warmup, workers, a
+    seed, a study's n): a plain int >= `least`; anything else raises `error`."""
+    if _is_whole(value):
+        value = int(value)  # a whole float or numpy integer is named as the plain int
+        if value >= least:
+            return value
+    raise error(f"{name} must be >= {least}, got {value!r}")
+
+
+def validate_alpha(alpha) -> float:
+    """The one reading of a test level: a plain float in (0, 1), or a ConfigError."""
+    if isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0:
+        return float(alpha)
+    raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+def validate_rho(rho) -> float:
+    """The one reading of a rotation-model rho: a plain float in (-1, 1), or a RhoRangeError."""
+    if isinstance(rho, numbers.Real) and -1.0 < rho < 1.0:
+        return float(rho)
+    raise RhoRangeError(f"rho must lie in (-1, 1), got {rho!r}")
+
+
+def validate_grid(name: str, values, rule) -> tuple:
+    """The one reading of a study grid: a nonempty tuple of entries read by `rule`."""
+    values = tuple(map(rule, values))
+    if not values:
+        raise ConfigError(f"{name} must be nonempty")
+    return values
 
 
 def is_rank_permutation(r: np.ndarray) -> bool:

@@ -36,8 +36,10 @@ import numpy as np
 
 from .coefficients import (
     METHODS,
+    TESTED_METHODS,
     Method,
     gaussian_population_xi,
+    validate_method,
     xi_from_min_sum,
     xi_pm,
 )
@@ -49,13 +51,19 @@ from .inference import (
     permutation_reject,
 )
 from .power import sample_rotation
-from .ranks import (_seed_sequence, derive_rng, derive_seed, max_batch_rows, rank_dtype,
-                    sorted_y_ranks, validate_neighbor_count)
+from .ranks import (derive_rng, derive_seed, max_batch_rows, rank_dtype, sorted_y_ranks,
+                    validate_alpha, validate_count, validate_grid, validate_neighbor_count,
+                    validate_rho)
 
 SCHEMA_VERSION = 1
 
 # the permutation-testable methods, and Pearson's r by its parametric t-test
-POWER_METHODS = tuple(m for m in Method if METHODS[m].tested) + (Method.PEARSON,)
+POWER_METHODS = TESTED_METHODS + (Method.PEARSON,)
+
+
+# a study's n is a count >= 2; each entry of an M grid is checked against each n later
+_study_n = functools.partial(validate_count, "n", least=2)
+_whole_m = functools.partial(validate_neighbor_count, None)
 
 
 @dataclass(frozen=True)
@@ -63,7 +71,9 @@ class PowerStudyConfig:
     """Grid and budget for a rejection-frequency study.
 
     Alternatives are local: each cell draws from the rotation model with
-    rho = rho0 / sqrt(n).
+    rho = rho0 / sqrt(n). Each field holds the plain value its rule returns:
+    nonempty grids of counts n >= 2, whole numbers M and POWER_METHODS,
+    counts replicates, B and workers >= 1 and master_seed >= 0, alpha in (0, 1).
     """
 
     n_values: tuple
@@ -77,24 +87,17 @@ class PowerStudyConfig:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "M_values", tuple(self.M_values))
-        object.__setattr__(self, "rho0_values", tuple(float(r) for r in self.rho0_values))
-        methods = tuple(self.methods)
-        for name in methods:  # an unknown name, or a method without a test
-            if name not in POWER_METHODS:
-                raise ConfigError(
-                    f"method {getattr(name, 'value', name)} has no test for a power study; "
-                    "choose from " + ",".join(m.value for m in POWER_METHODS))
-        object.__setattr__(self, "methods", tuple(Method(m) for m in methods))
-        _require_nonempty(n_values=self.n_values, M_values=self.M_values,
-                          rho0_values=self.rho0_values, methods=self.methods)
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        if self.B < 1:
-            raise ConfigError(f"B must be >= 1, got {self.B}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        store = functools.partial(object.__setattr__, self)
+        store("n_values", validate_grid("n_values", self.n_values, _study_n))
+        store("M_values", validate_grid("M_values", self.M_values, _whole_m))
+        store("rho0_values", validate_grid("rho0_values", self.rho0_values, float))
+        store("methods", validate_grid("methods", self.methods, lambda m: validate_method(
+            m, POWER_METHODS, "test for a power study")))
+        store("replicates", validate_count("replicates", self.replicates, 1))
+        store("B", validate_count("B", self.B, 1))
+        store("alpha", validate_alpha(self.alpha))
+        store("master_seed", validate_count("seed", self.master_seed, 0))
+        store("workers", validate_count("workers", self.workers, 1))
 
 
 @dataclass
@@ -107,12 +110,6 @@ class StudyReport:
     schema_version: int = SCHEMA_VERSION
 
 
-def _require_nonempty(**grids) -> None:
-    for name, values in grids.items():
-        if len(values) == 0:
-            raise ConfigError(f"{name} must be nonempty")
-
-
 def _replicate_blocks(ns: Sequence[int], replicates: int,
                       workers: int) -> list[tuple[int, int, int]]:
     """The one rule for chunking pooled work: (cell index, start, stop)
@@ -121,9 +118,8 @@ def _replicate_blocks(ns: Sequence[int], replicates: int,
     (workers * 8)) replicates, so each worker takes about 8 blocks, and at
     most `ranks.max_batch_rows(n)`, the memory cap of a (k, n) rank batch.
     Blocks never change a result, only which process computes it. `workers`
-    is checked here, before any block exists."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    is read by the count rule before any block exists."""
+    workers = validate_count("workers", workers, 1)
     per = math.ceil(len(ns) * replicates / (workers * 8))
     blocks = []
     for ci, n in enumerate(ns):
@@ -166,9 +162,7 @@ def _run_replicates(task, cells: list, replicates: int, master_seed: int,
     """`task(cell, keys)` for every block of :func:`_replicate_blocks`, where
     keys are the block's seed keys (master_seed, cell index, replicate) and
     the task returns one result per key. Returns each cell's results in
-    replicate order. A negative master seed and workers < 1 are refused
-    before any task starts."""
-    _seed_sequence(master_seed, ())
+    replicate order."""
     blocks = _replicate_blocks([cell["n"] for cell in cells], replicates, workers)
     tasks = [(task, cells[ci], [(master_seed, ci, ri) for ri in range(start, stop)])
              for ci, start, stop in blocks]
@@ -210,8 +204,6 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
                        if METHODS[method].needs_m else (None,))
              for rho0 in cfg.rho0_values]
     for cell in cells:
-        if cell["n"] < 2:
-            raise ConfigError(f"n must be >= 2, got {cell['n']}")
         if not abs(cell["rho0"] / math.sqrt(cell["n"])) < 1.0:
             raise ConfigError(f"rho0={cell['rho0']} gives |rho| >= 1 at n={cell['n']}")
     task = functools.partial(_power_block, cfg.B, cfg.alpha)
@@ -254,10 +246,11 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     """
     from scipy.stats import kstest
 
-    if replicates < 2:
-        raise ConfigError(f"replicates must be >= 2, got {replicates}")
+    replicates = validate_count("replicates", replicates, 2)
+    n = _study_n(n)
     M = validate_neighbor_count(n, M)
-    _seed_sequence(seed, ())  # a negative seed is refused before any task starts
+    seed = validate_count("seed", seed, 0)
+    workers = validate_count("workers", workers, 1)
     tasks = [(n, M, seed, start, stop)
              for _, start, stop in _replicate_blocks([n], replicates, workers)]
     values = np.concatenate(_map_tasks(_null_block_task, tasks, workers))
@@ -305,14 +298,14 @@ def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],
                       workers: int = 1) -> StudyReport:
     """Mean and quartiles of the coefficient across replicates per (rho, n, M),
     next to the population value it estimates."""
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    _require_nonempty(rho_values=rho_values, n_values=n_values, M_values=M_values)
-    cells = [{"rho": float(rho), "n": n, "M": validate_neighbor_count(n, M)}
-             for rho in rho_values for n in map(int, n_values) for M in M_values]
-    for cell in cells:
-        if not -1.0 < cell["rho"] < 1.0:
-            raise ConfigError(f"rho={cell['rho']} outside (-1, 1)")
+    replicates = validate_count("replicates", replicates, 1)
+    seed = validate_count("seed", seed, 0)
+    workers = validate_count("workers", workers, 1)
+    rhos = validate_grid("rho_values", rho_values, validate_rho)
+    ns = validate_grid("n_values", n_values, _study_n)
+    Ms = validate_grid("M_values", M_values, _whole_m)
+    cells = [{"rho": rho, "n": n, "M": validate_neighbor_count(n, M)}
+             for rho in rhos for n in ns for M in Ms]
     rows = []
     for cell, results in zip(cells, _run_replicates(_consistency_block, cells,
                                                     replicates, seed, workers)):
@@ -343,12 +336,12 @@ def timing_study(n_values: Sequence[int], M_values: Sequence[int],
     warm-up, monotonic clock. Absolute times are hardware-bound; compare
     ratios.
     """
-    if repetitions < 1:
-        raise ConfigError(f"repetitions must be >= 1, got {repetitions}")
-    if warmup < 0:
-        raise ConfigError(f"warmup must be >= 0, got {warmup}")
-    _require_nonempty(n_values=n_values, M_values=M_values)
-    cells = [(n, validate_neighbor_count(n, M)) for n in map(int, n_values) for M in M_values]
+    repetitions = validate_count("repetitions", repetitions, 1)
+    warmup = validate_count("warmup", warmup, 0)
+    seed = validate_count("seed", seed, 0)
+    ns = validate_grid("n_values", n_values, _study_n)
+    Ms = validate_grid("M_values", M_values, _whole_m)
+    cells = [(n, validate_neighbor_count(n, M)) for n in ns for M in Ms]
     rows = []
     for ci, (n, M) in enumerate(cells):
         rng = derive_rng(seed, ci)

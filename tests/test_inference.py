@@ -56,8 +56,11 @@ class TestConfigValidation:
             PermutationTestConfig(B=9, alpha=0.05, seed=1, method=Method.HOEFFDING_D, M=2)
 
     def test_unsupported_method(self):
-        with pytest.raises(ConfigError):
-            PermutationTestConfig(B=9, alpha=0.05, seed=1, method=Method.PEARSON)
+        for method, name in ((Method.PEARSON, "pearson"), (Method.XI_NM, "xi-nm"),
+                             ("xi-nm", "xi-nm"), ("nope", "nope"), (None, "None")):
+            with pytest.raises(ConfigError, match=rf"^method {name} has no permutation test; "
+                                                  "choose from xi-pm,symmetric-nn,hoeffding-d$"):
+                PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method)
 
     def test_every_method_has_a_table_entry(self):
         assert set(METHODS) == set(Method)

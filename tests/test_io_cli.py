@@ -389,11 +389,13 @@ class TestCli:
         ("consistency --rho-values 0.4 --n-values 30 --M-values 2 --replicates 0 --seed 1",
          "replicates must be >= 1, got 0"),
         ("consistency --rho-values 1 --n-values 30 --M-values 2 --seed 1",
-         "rho=1.0 outside (-1, 1)"),
+         "rho must lie in (-1, 1), got 1.0"),
         ("timing --n-values 30 --M-values 2 --repetitions 0 --seed 1",
          "repetitions must be >= 1, got 0"),
         ("test --method xi-asymptotic -M 2 --alpha 0 {data}", "alpha must lie in (0, 1), got 0.0"),
         ("test --method pearson --alpha 1.5 {data}", "alpha must lie in (0, 1), got 1.5"),
+        ("null-calibration --n 1 -M 1 --seed 1", "n must be >= 2, got 1"),
+        ("timing --n-values 1 --M-values 1 --seed 1", "n must be >= 2, got 1"),
     ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
             "null-workers-neg", "consistency-empty-rho", "timing-empty-n",
             "timing-warmup-neg", "test-seed-neg", "test-seed-env-neg", "coef-jitter-seed-neg",
@@ -403,7 +405,8 @@ class TestCli:
             "power-study-n-neg", "power-study-n-1", "power-study-rho-1",
             "power-study-replicates-0", "power-study-B-0", "power-study-workers-0",
             "null-replicates-1", "consistency-replicates-0", "consistency-rho-1",
-            "timing-repetitions-0", "asymptotic-alpha-0", "pearson-alpha-1.5"])
+            "timing-repetitions-0", "asymptotic-alpha-0", "pearson-alpha-1.5",
+            "null-n-1", "timing-n-1"])
     def test_study_setting_errors_exit_1(self, capsys, monkeypatch, data_file, argv, message):
         """One `xiboost: error:` line, no traceback, and no process pool; a
         negative seed, from --seed or from the environment, is refused before

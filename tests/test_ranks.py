@@ -22,12 +22,16 @@ from xiboost import (
     derive_rng,
     derive_seed,
     extremal_bounds_exact,
+    gaussian_population_xi,
+    null_calibration_study,
     null_variance_asymptotic,
+    pearson_test,
     permutation_test,
     power_study,
     random_rank_permutation,
     reflect_ranks,
     regime_ok,
+    RhoRangeError,
     right_neighbor,
     sample_rotation,
     sorted_y_ranks,
@@ -38,7 +42,7 @@ from xiboost import (
 )
 from xiboost.coefficients import score_sample
 from xiboost.dataio import report_to_json
-from xiboost.ranks import validate_neighbor_count
+from xiboost.ranks import validate_count, validate_neighbor_count
 
 
 class TestComputeRanks:
@@ -383,3 +387,152 @@ class TestNeighborCountRule:
                 validate_neighbor_count(10, M)
         with pytest.raises(MRangeError, match="got 10$"):
             validate_neighbor_count(10, 10.0)
+
+
+def _power(**settings):
+    return report_to_json(power_study(PowerStudyConfig(**{
+        "n_values": [30], "M_values": [2], "rho0_values": [2.0], "methods": ["xi-pm", "pearson"],
+        "replicates": 3, "B": 9, "alpha": 0.25, "master_seed": 1, "workers": 1, **settings})))
+
+
+def _null(**settings):
+    return report_to_json(null_calibration_study(
+        **{"n": 30, "M": 2, "replicates": 3, "seed": 1, "workers": 1, **settings}))
+
+
+def _consistency(**settings):
+    return report_to_json(consistency_study(**{
+        "rho_values": [0.5], "n_values": [30], "M_values": [2], "replicates": 3, "seed": 1,
+        "workers": 1, **settings}))
+
+
+def _timing(**settings):
+    report = timing_study(**{"n_values": [30], "M_values": [2], "repetitions": 1, "warmup": 0,
+                             "seed": 1, **settings})
+    for row in report.rows:
+        row["median_seconds"] = 0.0  # a wall time: the one value that differs run to run
+    return report_to_json(report)
+
+
+def _perm(**settings):
+    return permutation_test(RULE_SAMPLE, PermutationTestConfig(
+        **{"B": 9, "alpha": 0.25, "seed": 3, "method": Method.XI_PM, "M": 2, **settings}))
+
+
+# (entry point, count setting) -> (call with the setting's value, a valid plain
+# int, the name in the error, its least value); workers stays at 1, so no pool
+# starts
+COUNT_ENTRY_POINTS = {
+    ("permutation_test", "B"): (lambda v: _perm(B=v), 9, "B", 1),
+    ("permutation_test", "seed"): (lambda v: _perm(seed=v), 3, "seed", 0),
+    ("derive_rng", "seed"): (lambda v: derive_rng(v, 2).random(), 3, "seed", 0),
+    ("power_study", "n"): (lambda v: _power(n_values=[v]), 30, "n", 2),
+    ("power_study", "replicates"): (lambda v: _power(replicates=v), 3, "replicates", 1),
+    ("power_study", "B"): (lambda v: _power(B=v), 9, "B", 1),
+    ("power_study", "seed"): (lambda v: _power(master_seed=v), 1, "seed", 0),
+    ("power_study", "workers"): (lambda v: _power(workers=v), 1, "workers", 1),
+    ("null_calibration_study", "n"): (lambda v: _null(n=v), 30, "n", 2),
+    ("null_calibration_study", "replicates"): (lambda v: _null(replicates=v), 3,
+                                               "replicates", 2),
+    ("null_calibration_study", "seed"): (lambda v: _null(seed=v), 1, "seed", 0),
+    ("null_calibration_study", "workers"): (lambda v: _null(workers=v), 1, "workers", 1),
+    ("consistency_study", "n"): (lambda v: _consistency(n_values=[v]), 30, "n", 2),
+    ("consistency_study", "replicates"): (lambda v: _consistency(replicates=v), 3,
+                                          "replicates", 1),
+    ("consistency_study", "seed"): (lambda v: _consistency(seed=v), 1, "seed", 0),
+    ("consistency_study", "workers"): (lambda v: _consistency(workers=v), 1, "workers", 1),
+    ("timing_study", "n"): (lambda v: _timing(n_values=[v]), 30, "n", 2),
+    ("timing_study", "repetitions"): (lambda v: _timing(repetitions=v), 2, "repetitions", 1),
+    ("timing_study", "warmup"): (lambda v: _timing(warmup=v), 1, "warmup", 0),
+    ("timing_study", "seed"): (lambda v: _timing(seed=v), 1, "seed", 0),
+}
+
+ALPHA_ENTRY_POINTS = {
+    "permutation_test": lambda a: _perm(alpha=a),
+    "asymptotic_test": lambda a: asymptotic_test(RULE_SAMPLE, 2, a, override=True),
+    "pearson_test": lambda a: pearson_test(RULE_SAMPLE, a),
+    "power_study": lambda a: _power(alpha=a),
+}
+
+RHO_ENTRY_POINTS = {
+    "sample_rotation": lambda r: sample_rotation(derive_rng(5), 30, r).y.tolist(),
+    "gaussian_population_xi": gaussian_population_xi,
+    "consistency_study": lambda r: _consistency(rho_values=[r]),
+}
+
+
+class TestSettingRules:
+    """Each study setting has one rule in `xiboost.ranks`: a count is a whole
+    number of at least its least value, alpha a real number in (0, 1) and rho
+    one in (-1, 1). Every entry point computes with the plain value the rule
+    returns, or raises the rule's error."""
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, float, np.float64],
+                             ids=["int64", "int32", "float", "float64"])
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS, ids="-".join)
+    def test_whole_counts_act_as_the_plain_int(self, entry, kind):
+        call, value, _, _ = COUNT_ENTRY_POINTS[entry]
+        assert repr(call(kind(value))) == repr(call(value))
+
+    @pytest.mark.parametrize("value", [2.5, True, "3", None, float("nan")],
+                             ids=["2.5", "bool", "str", "None", "nan"])
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS, ids="-".join)
+    def test_other_counts_raise_config_error(self, entry, value):
+        call, _, name, least = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= {least}, got "):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS, ids="-".join)
+    def test_count_below_least_names_the_plain_int(self, entry):
+        call, _, name, least = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ConfigError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+            call(np.int64(least - 1))
+
+    def test_plain_results(self):
+        res = _perm(B=np.int64(9), alpha=np.float64(0.25), seed=np.int64(3))
+        assert (type(res.p_value), type(res.reject), type(res.B), type(res.alpha),
+                type(res.seed)) == (float, bool, int, float, int)
+        cfg = PowerStudyConfig(n_values=np.array([30]), M_values=[2.0], rho0_values=[1],
+                               methods=["pearson"], replicates=3.0, B=np.int32(9),
+                               master_seed=np.int64(1), workers=1.0)
+        assert repr(cfg) == repr(PowerStudyConfig(n_values=[30], M_values=[2],
+                                                  rho0_values=[1.0], methods=["pearson"],
+                                                  replicates=3, B=9, master_seed=1))
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS)
+    def test_real_alpha_acts_as_the_plain_float(self, entry, kind):
+        assert repr(ALPHA_ENTRY_POINTS[entry](kind(0.25))) == \
+            repr(ALPHA_ENTRY_POINTS[entry](0.25))
+
+    @pytest.mark.parametrize("alpha", [0, 1.0, "0.25", None, float("nan")],
+                             ids=["0", "1", "str", "None", "nan"])
+    @pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS)
+    def test_other_alpha_raises_config_error(self, entry, alpha):
+        with pytest.raises(ConfigError, match=r"^alpha must lie in \(0, 1\), got "):
+            ALPHA_ENTRY_POINTS[entry](alpha)
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
+    def test_real_rho_acts_as_the_plain_float(self, entry, kind):
+        assert repr(RHO_ENTRY_POINTS[entry](kind(0.5))) == repr(RHO_ENTRY_POINTS[entry](0.5))
+
+    @pytest.mark.parametrize("rho", [1, -1.0, "0.5", None, float("nan")],
+                             ids=["1", "-1", "str", "None", "nan"])
+    @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
+    def test_other_rho_raises_rho_range_error(self, entry, rho):
+        with pytest.raises(RhoRangeError, match=r"^rho must lie in \(-1, 1\), got "):
+            RHO_ENTRY_POINTS[entry](rho)
+
+    def test_n_is_read_before_m(self):
+        with pytest.raises(ConfigError, match=r"^n must be >= 2, got 1$"):
+            null_calibration_study(1, 1, replicates=3, seed=1)
+        with pytest.raises(ConfigError, match=r"^n must be >= 2, got 50\.7$"):
+            consistency_study([0.5], [50.7], [2], replicates=3, seed=1)
+
+    def test_internal_counts_keep_their_error_class(self):
+        with pytest.raises(MRangeError, match=r"^m must be >= 1, got 2\.5$"):
+            right_neighbor(x_order([1.0, 2.0, 3.0]), 1, 2.5)
+        with pytest.raises(SizeError, match=r"^n must be >= 1, got 0$"):
+            random_rank_permutation(derive_rng(0), 0.0)
+        assert type(validate_count("k", np.uint8(4), 0)) is int
