@@ -299,30 +299,22 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
             return _run_coef(parser, args)
         if args.command == "test":
             return _run_test(parser, args)
+        if args.command == "boundary":
+            return _run_boundary(parser, args)
         if args.command == "power-study":
             report = power_study(_power_config(parser, args))
-            _emit_report(args, report)
-            return 0
-        if args.command == "null-calibration":
-            seed = _resolve_seed(parser, args)
+        elif args.command == "null-calibration":
             report = null_calibration_study(args.n, args.neighbors, args.replicates,
-                                            seed, workers=args.workers)
-            _emit_report(args, report)
-            return 0
-        if args.command == "consistency":
-            seed = _resolve_seed(parser, args)
+                                            _resolve_seed(parser, args), workers=args.workers)
+        elif args.command == "consistency":
             report = consistency_study(args.rho_values, args.n_values, args.M_values,
-                                       args.replicates, seed, workers=args.workers)
-            _emit_report(args, report)
-            return 0
-        if args.command == "timing":
-            seed = _resolve_seed(parser, args)
-            report = timing_study(args.n_values, args.M_values,
-                                  repetitions=args.repetitions, warmup=args.warmup,
-                                  seed=seed)
-            _emit_report(args, report)
-            return 0
-        return _run_boundary(parser, args)  # argparse has refused any other command
+                                       args.replicates, _resolve_seed(parser, args),
+                                       workers=args.workers)
+        else:  # timing; argparse has refused any other command
+            report = timing_study(args.n_values, args.M_values, repetitions=args.repetitions,
+                                  warmup=args.warmup, seed=_resolve_seed(parser, args))
+        _emit_report(args, report)
+        return 0
     except SystemExit as exc:  # parser.error inside handlers
         return int(exc.code or 0)
     except (XiBoostError, OSError) as exc:  # OSError: unreadable input, unwritable output

@@ -241,7 +241,7 @@ def _score_row(rs: np.ndarray, method: Method,
     if spec.score is None:
         raise ConfigError(f"method {Method(method).value} has no rank score; use pearson_r")
     n = rs.size
-    M = validate_neighbor_count(n, M) if spec.needs_m else None
+    M = validate_method_m(method, n, M)
     score = int(spec.score(rs[None], M)[0])
     return CoefficientValue(value=spec.scale(score, n, M), method=method, n=n, M=M), score
 
@@ -250,8 +250,8 @@ def score_sample(s: Sample, method: Method,
                  M: Optional[int] = None) -> tuple[CoefficientValue, int]:
     """The coefficient of a rank method of :data:`METHODS` and its exact
     integer score: orders the sample (so a tie is reported before M or n is
-    checked), checks M when the method takes it and drops it otherwise,
-    scores the one row as a batch of one and scales the score."""
+    checked), reads M by :func:`validate_method_m`, scores the one row as a
+    batch of one and scales the score."""
     return _score_row(sorted_y_ranks(s), method, M)
 
 
@@ -468,6 +468,16 @@ def validate_method(method, choices: tuple, purpose: str) -> Method:
         raise ConfigError(f"method {getattr(method, 'value', method)} has no {purpose}; "
                           "choose from " + ",".join(m.value for m in choices))
     return Method(method)
+
+
+def validate_method_m(method: Method, n: Optional[int], M) -> Optional[int]:
+    """The one rule that M is given exactly when the method `needs_m`: M read
+    by :func:`validate_neighbor_count`, or None; else a ConfigError."""
+    needs_m = METHODS[method].needs_m
+    if needs_m != (M is not None):
+        verb = "requires" if needs_m else "does not take"
+        raise ConfigError(f"method {Method(method).value} {verb} M")
+    return validate_neighbor_count(n, M) if needs_m else None
 
 
 # ---------------------------------------------------------------------------

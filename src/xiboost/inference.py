@@ -42,8 +42,9 @@ from .coefficients import (
     xi_nm,
     xi_nm_from_ranks,
     validate_method,
+    validate_method_m,
 )
-from .errors import ConfigError, RegimeError, SizeError
+from .errors import RegimeError, SizeError
 from .ranks import (
     Sample,
     block_rows,
@@ -60,8 +61,8 @@ from .ranks import (
 class PermutationTestConfig:
     """Settings for the simulation-based independence test. Each field holds
     the plain value its rule returns: B a count >= 1 and seed one >= 0, alpha
-    in (0, 1), method a tested one and M, given exactly when the method
-    `needs_m`, a whole number (an :class:`MRangeError` if not)."""
+    in (0, 1), method a tested one and M by
+    :func:`~xiboost.coefficients.validate_method_m`."""
 
     B: int
     alpha: float
@@ -75,12 +76,7 @@ class PermutationTestConfig:
         store("alpha", validate_alpha(self.alpha))
         store("seed", validate_count("seed", self.seed, 0))
         store("method", validate_method(self.method, TESTED_METHODS, "permutation test"))
-        if METHODS[self.method].needs_m:
-            if self.M is None:
-                raise ConfigError(f"method {self.method.value} requires M")
-            store("M", validate_neighbor_count(None, self.M))
-        elif self.M is not None:
-            raise ConfigError(f"method {self.method.value} does not take M")
+        store("M", validate_method_m(self.method, None, self.M))
 
 
 @dataclass(frozen=True)

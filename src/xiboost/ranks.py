@@ -8,6 +8,7 @@ conversions happen inside this module.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -253,18 +254,28 @@ def validate_count(name: str, value, least: int, error: type = ConfigError) -> i
     raise error(f"{name} must be >= {least}, got {value!r}")
 
 
+def _read_real(value, low: float, high: float, error: type, message: str) -> float:
+    """alpha's, rho's and rho0's test: a real number (no bool) in (low, high),
+    returned as a plain float; anything else raises `error`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and low < value < high:
+        return float(value)
+    raise error(f"{message}, got {value!r}")
+
+
 def validate_alpha(alpha) -> float:
     """The one reading of a test level: a plain float in (0, 1), or a ConfigError."""
-    if isinstance(alpha, numbers.Real) and 0.0 < alpha < 1.0:
-        return float(alpha)
-    raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return _read_real(alpha, 0.0, 1.0, ConfigError, "alpha must lie in (0, 1)")
 
 
 def validate_rho(rho) -> float:
     """The one reading of a rotation-model rho: a plain float in (-1, 1), or a RhoRangeError."""
-    if isinstance(rho, numbers.Real) and -1.0 < rho < 1.0:
-        return float(rho)
-    raise RhoRangeError(f"rho must lie in (-1, 1), got {rho!r}")
+    return _read_real(rho, -1.0, 1.0, RhoRangeError, "rho must lie in (-1, 1)")
+
+
+def validate_rho0(rho0) -> float:
+    """The one reading of a power study's rho0: a finite plain float, or a ConfigError."""
+    return _read_real(rho0, -math.inf, math.inf, ConfigError,
+                      "rho0_values must hold finite real numbers")
 
 
 def validate_grid(name: str, values, rule) -> tuple:

@@ -6,10 +6,10 @@ replicate index), never from worker identity, so reports are byte-identical
 for any worker count. Timing studies are the one exception: wall-clock
 medians are physical measurements and cannot be reproduced bitwise.
 
-A pooled study's unit of work is a block of replicates of one cell, and
-`_replicate_blocks` is the one rule that cuts them: about 8 blocks per
-worker, each within `ranks.max_batch_rows(n)` rows. `_map_tasks` runs one
-pool task per block. A power block runs its replicates one by one. A
+A pooled study (power, null calibration, consistency) is a list of cells
+and one block task, run by `_run_replicates`, the one driver and the one
+place a process pool starts: one pool task per block of `_replicate_blocks`,
+about 8 per worker. A power block runs its replicates one by one. A
 consistency block orders each replicate's sample into one row of a narrow
 rank batch and scores the whole block with one batch-kernel call, and a null
 calibration block draws its permutation rows into such a batch.
@@ -53,7 +53,7 @@ from .inference import (
 from .power import sample_rotation
 from .ranks import (derive_rng, derive_seed, max_batch_rows, rank_dtype, sorted_y_ranks,
                     validate_alpha, validate_count, validate_grid, validate_neighbor_count,
-                    validate_rho)
+                    validate_rho, validate_rho0)
 
 SCHEMA_VERSION = 1
 
@@ -72,8 +72,9 @@ class PowerStudyConfig:
 
     Alternatives are local: each cell draws from the rotation model with
     rho = rho0 / sqrt(n). Each field holds the plain value its rule returns:
-    nonempty grids of counts n >= 2, whole numbers M and POWER_METHODS,
-    counts replicates, B and workers >= 1 and master_seed >= 0, alpha in (0, 1).
+    nonempty grids of counts n >= 2, whole numbers M, finite reals rho0 and
+    POWER_METHODS, counts replicates, B and workers >= 1 and master_seed >= 0,
+    alpha in (0, 1).
     """
 
     n_values: tuple
@@ -90,7 +91,7 @@ class PowerStudyConfig:
         store = functools.partial(object.__setattr__, self)
         store("n_values", validate_grid("n_values", self.n_values, _study_n))
         store("M_values", validate_grid("M_values", self.M_values, _whole_m))
-        store("rho0_values", validate_grid("rho0_values", self.rho0_values, float))
+        store("rho0_values", validate_grid("rho0_values", self.rho0_values, validate_rho0))
         store("methods", validate_grid("methods", self.methods, lambda m: validate_method(
             m, POWER_METHODS, "test for a power study")))
         store("replicates", validate_count("replicates", self.replicates, 1))
@@ -129,18 +130,6 @@ def _replicate_blocks(ns: Sequence[int], replicates: int,
     return blocks
 
 
-def _map_tasks(fn, tasks: list, workers: int) -> list:
-    """`fn` over tasks in submission order, one pool task each when workers > 1.
-    Results are position-aligned with tasks, so aggregation never depends on
-    scheduling."""
-    if workers == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 @contextlib.contextmanager
 def _replicate(cell: dict, key: tuple):
     """Re-raise a domain error of one replicate as a StudyError naming its
@@ -152,22 +141,26 @@ def _replicate(cell: dict, key: tuple):
         raise StudyError(f"cell ({where}) replicate {key[2]}, seed key {key}: {exc}") from exc
 
 
-def _block_task(args):
-    task, cell, keys = args
-    return task(cell, keys)
-
-
 def _run_replicates(task, cells: list, replicates: int, master_seed: int,
                     workers: int) -> list:
-    """`task(cell, keys)` for every block of :func:`_replicate_blocks`, where
-    keys are the block's seed keys (master_seed, cell index, replicate) and
-    the task returns one result per key. Returns each cell's results in
-    replicate order."""
+    """`task(cell, keys)` for every block of :func:`_replicate_blocks`, one
+    pool task each when workers > 1, where keys are the block's seed keys
+    (master_seed, cell index, replicate) and the task returns one result per
+    key. Returns each cell's results in replicate order, whatever the
+    scheduling."""
     blocks = _replicate_blocks([cell["n"] for cell in cells], replicates, workers)
-    tasks = [(task, cells[ci], [(master_seed, ci, ri) for ri in range(start, stop)])
-             for ci, start, stop in blocks]
+    block_cells = [cells[ci] for ci, _, _ in blocks]
+    block_keys = [[(master_seed, ci, ri) for ri in range(start, stop)]
+                  for ci, start, stop in blocks]
+    if workers == 1 or len(blocks) <= 1:
+        outputs = map(task, block_cells, block_keys)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outputs = list(pool.map(task, block_cells, block_keys))
     results = [[] for _ in cells]
-    for (ci, _, _), block in zip(blocks, _map_tasks(_block_task, tasks, workers)):
+    for (ci, _, _), block in zip(blocks, outputs):
         results[ci] += block
     return results
 
@@ -176,22 +169,19 @@ def _run_replicates(task, cells: list, replicates: int, master_seed: int,
 # power study
 
 
-def _power_replicate(B: int, alpha: float, cell: dict, key: tuple) -> int:
-    n, method = cell["n"], Method(cell["method"])
-    s = sample_rotation(derive_rng(*key, 0), n, cell["rho0"] / math.sqrt(n))
-    if method is Method.PEARSON:
-        return int(pearson_test(s, alpha).reject)
-    cfg = PermutationTestConfig(B=B, alpha=alpha, seed=derive_seed(*key, 1), method=method,
-                                M=cell["M"])
-    return int(permutation_reject(s, cfg))
-
-
 def _power_block(B: int, alpha: float, cell: dict, keys: list) -> list:
-    """A block of power replicates, run one by one."""
+    """The rejections (1 or 0) of a block of power replicates, run one by one."""
+    n, method = cell["n"], Method(cell["method"])
     flags = []
     for key in keys:
         with _replicate(cell, key):
-            flags.append(_power_replicate(B, alpha, cell, key))
+            s = sample_rotation(derive_rng(*key, 0), n, cell["rho0"] / math.sqrt(n))
+            if method is Method.PEARSON:
+                flags.append(int(pearson_test(s, alpha).reject))
+            else:
+                cfg = PermutationTestConfig(B=B, alpha=alpha, seed=derive_seed(*key, 1),
+                                            method=method, M=cell["M"])
+                flags.append(int(permutation_reject(s, cfg)))
     return flags
 
 
@@ -225,14 +215,17 @@ def power_study(cfg: PowerStudyConfig) -> StudyReport:
 # null calibration
 
 
-def _null_block_task(args) -> np.ndarray:
-    (n, M, seed, start, stop) = args
-    rows = np.empty((stop - start, n), dtype=rank_dtype(n))
-    for k, rep in enumerate(range(start, stop)):
-        rows[k] = derive_rng(seed, rep).permutation(n)
+def _null_block(cell: dict, keys: list) -> list:
+    """The coefficients of a block of null replicates: uniform rank permutations
+    (identity x-order) drawn into a narrow rank batch, scored by one kernel call."""
+    n, M = cell["n"], cell["M"]
+    rows = np.empty((len(keys), n), dtype=rank_dtype(n))
+    for row, (seed, _, rep) in zip(rows, keys):
+        # the null stream predates cell keys: replicate r draws (seed, r), not (seed, 0, r)
+        row[...] = derive_rng(seed, rep).permutation(n)
     rows += 1
     spec = METHODS[Method.XI_NM]
-    return spec.scale(spec.score(rows, M), n, M)
+    return spec.scale(spec.score(rows, M), n, M).tolist()
 
 
 def null_calibration_study(n: int, M: int, replicates: int, seed: int,
@@ -251,25 +244,20 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     M = validate_neighbor_count(n, M)
     seed = validate_count("seed", seed, 0)
     workers = validate_count("workers", workers, 1)
-    tasks = [(n, M, seed, start, stop)
-             for _, start, stop in _replicate_blocks([n], replicates, workers)]
-    values = np.concatenate(_map_tasks(_null_block_task, tasks, workers))
+    cell = {"n": n, "M": M}
+    values = np.asarray(_run_replicates(_null_block, [cell], replicates, seed, workers)[0])
     var_asym = null_variance_asymptotic(n, M)
     variance = float(values.var(ddof=1))
     row = {
-        "n": n,
-        "M": M,
+        **cell,
         "replicates": replicates,
         "mean": float(values.mean()),
         "variance": variance,
         "variance_asymptotic": var_asym,
         "variance_ratio": variance / var_asym,
+        "ks_distance": None if M ** 4 > n else float(kstest(
+            math.sqrt(n * M) * values, "norm", args=(0.0, math.sqrt(0.4))).statistic),
     }
-    if M ** 4 <= n:
-        z = math.sqrt(n * M) * values
-        row["ks_distance"] = float(kstest(z, "norm", args=(0.0, math.sqrt(0.4))).statistic)
-    else:
-        row["ks_distance"] = None
     return StudyReport(kind="null-calibration",
                        meta={"master_seed": seed},
                        rows=[row])

@@ -504,6 +504,26 @@ class TestMethodTable:
         with pytest.raises(ConfigError, match="^method pearson has no rank score; use pearson_r$"):
             score_sample(s, method)
 
+    @pytest.mark.parametrize("method, M, message", [
+        (Method.HOEFFDING_D, 7, "method hoeffding-d does not take M"),
+        (Method.XI_CLASSIC, 2.5, "method xi-classic does not take M"),
+        (Method.XI_NM, None, "method xi-nm requires M"),
+        (Method.XI_PM, None, "method xi-pm requires M"),
+        (Method.SYMMETRIC_NN, None, "method symmetric-nn requires M"),
+    ], ids=["hoeffding-d-7", "xi-classic-2.5", "xi-nm-None", "xi-pm-None",
+            "symmetric-nn-None"])
+    def test_m_is_given_exactly_when_the_method_takes_it(self, method, M, message):
+        """One rule for the coefficient and the permutation test's settings."""
+        s = Sample([0.3, 0.1, 0.4, 0.5, 0.9], [1.0, 3.0, 2.0, 5.0, 4.0])
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            score_sample(s, method, M)
+        if METHODS[method].tested:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                PermutationTestConfig(B=9, alpha=0.05, seed=1, method=method, M=M)
+        if method is Method.XI_NM:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                xi_nm(s, M)
+
     @pytest.mark.parametrize("method", list(PUBLIC_COEFFICIENTS), ids=lambda m: m.value)
     @pytest.mark.parametrize("kind", ["random", "identity", "reversed"])
     def test_coefficient_is_the_scaled_score_of_one_row(self, method, kind):

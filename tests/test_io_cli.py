@@ -396,6 +396,8 @@ class TestCli:
         ("test --method pearson --alpha 1.5 {data}", "alpha must lie in (0, 1), got 1.5"),
         ("null-calibration --n 1 -M 1 --seed 1", "n must be >= 2, got 1"),
         ("timing --n-values 1 --M-values 1 --seed 1", "n must be >= 2, got 1"),
+        ("boundary --n 1 --M-values 1", "n must be >= 2, got 1"),
+        ("boundary --n 0 --M-values 1", "n must be >= 2, got 0"),
     ], ids=["consistency-workers-0", "consistency-workers-neg", "null-workers-0",
             "null-workers-neg", "consistency-empty-rho", "timing-empty-n",
             "timing-warmup-neg", "test-seed-neg", "test-seed-env-neg", "coef-jitter-seed-neg",
@@ -406,7 +408,7 @@ class TestCli:
             "power-study-replicates-0", "power-study-B-0", "power-study-workers-0",
             "null-replicates-1", "consistency-replicates-0", "consistency-rho-1",
             "timing-repetitions-0", "asymptotic-alpha-0", "pearson-alpha-1.5",
-            "null-n-1", "timing-n-1"])
+            "null-n-1", "timing-n-1", "boundary-n-1", "boundary-n-0"])
     def test_study_setting_errors_exit_1(self, capsys, monkeypatch, data_file, argv, message):
         """One `xiboost: error:` line, no traceback, and no process pool; a
         negative seed, from --seed or from the environment, is refused before

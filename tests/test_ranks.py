@@ -445,6 +445,8 @@ COUNT_ENTRY_POINTS = {
     ("timing_study", "repetitions"): (lambda v: _timing(repetitions=v), 2, "repetitions", 1),
     ("timing_study", "warmup"): (lambda v: _timing(warmup=v), 1, "warmup", 0),
     ("timing_study", "seed"): (lambda v: _timing(seed=v), 1, "seed", 0),
+    ("zeta", "n"): (lambda v: zeta(v, 3), 30, "n", 2),
+    ("regime_ok", "n"): (lambda v: regime_ok(v, 3), 10_000, "n", 2),
 }
 
 ALPHA_ENTRY_POINTS = {
@@ -517,18 +519,33 @@ class TestSettingRules:
     def test_real_rho_acts_as_the_plain_float(self, entry, kind):
         assert repr(RHO_ENTRY_POINTS[entry](kind(0.5))) == repr(RHO_ENTRY_POINTS[entry](0.5))
 
-    @pytest.mark.parametrize("rho", [1, -1.0, "0.5", None, float("nan")],
-                             ids=["1", "-1", "str", "None", "nan"])
+    @pytest.mark.parametrize("rho", [1, -1.0, "0.5", None, float("nan"), False],
+                             ids=["1", "-1", "str", "None", "nan", "bool"])
     @pytest.mark.parametrize("entry", RHO_ENTRY_POINTS)
     def test_other_rho_raises_rho_range_error(self, entry, rho):
         with pytest.raises(RhoRangeError, match=r"^rho must lie in \(-1, 1\), got "):
             RHO_ENTRY_POINTS[entry](rho)
+
+    @pytest.mark.parametrize("rho0", [2, np.int64(2), np.float64(2.0), np.float32(2.0)],
+                             ids=["int", "int64", "float64", "float32"])
+    def test_real_rho0_acts_as_the_plain_float(self, rho0):
+        assert _power(rho0_values=[rho0]) == _power(rho0_values=[2.0])
+
+    @pytest.mark.parametrize("rho0", ["2", None, True, float("nan"), float("inf")],
+                             ids=["str", "None", "bool", "nan", "inf"])
+    def test_other_rho0_raises_config_error(self, rho0):
+        with pytest.raises(ConfigError,
+                           match=r"^rho0_values must hold finite real numbers, got "):
+            _power(rho0_values=[2.0, rho0])
 
     def test_n_is_read_before_m(self):
         with pytest.raises(ConfigError, match=r"^n must be >= 2, got 1$"):
             null_calibration_study(1, 1, replicates=3, seed=1)
         with pytest.raises(ConfigError, match=r"^n must be >= 2, got 50\.7$"):
             consistency_study([0.5], [50.7], [2], replicates=3, seed=1)
+        for rule in (zeta, regime_ok):
+            with pytest.raises(ConfigError, match=r"^n must be >= 2, got 50\.7$"):
+                rule(50.7, 3)
 
     def test_internal_counts_keep_their_error_class(self):
         with pytest.raises(MRangeError, match=r"^m must be >= 1, got 2\.5$"):

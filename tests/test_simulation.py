@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo study harness: schemas, determinism across
 worker counts, and error propagation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,12 @@ from xiboost import (
 )
 from xiboost.dataio import report_to_json
 from xiboost.ranks import max_batch_rows
-from xiboost.simulation import _consistency_block, _replicate_blocks
+from xiboost.simulation import _consistency_block, _replicate_blocks, _run_replicates
+
+
+def _echo_keys(cell, keys):
+    """A block task that returns its seed keys; module-level, so a pool can run it."""
+    return list(keys)
 
 
 SMALL_CFG = dict(n_values=[40], M_values=[2], rho0_values=[0.0, 3.0],
@@ -129,6 +136,16 @@ class TestNullCalibrationStudy:
         b = null_calibration_study(150, 4, 600, seed=3, workers=2)
         assert report_to_json(a) == report_to_json(b)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, M, replicates, seed, digest", [
+        (512, 3, 400, 8, "916fc7e3c3778e0e1cc0cbd3356e1375dd08b87513685b0470594d18880d942b"),
+        (150, 4, 600, 3, "76826c0406d70a874e5413f60b6d5ba4492b07af6a46e9a5aa6a2c55e2274b0e"),
+    ], ids=["criterion-13", "n150"])
+    def test_pinned_report_bytes(self, n, M, replicates, seed, digest, workers):
+        """The null stream is pinned: replicate r draws derive_rng(seed, r)."""
+        report = null_calibration_study(n, M, replicates, seed=seed, workers=workers)
+        assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == digest
+
 
 class TestConsistencyStudy:
     def test_reference_column_and_convergence(self):
@@ -196,6 +213,13 @@ class TestReplicateBlocks:
     def test_workers_checked_before_any_block(self, workers):
         with pytest.raises(ConfigError, match=f"^workers must be >= 1, got {workers}$"):
             _replicate_blocks([50], 5, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_replicates_gives_each_cell_its_keys_in_order(self, workers):
+        # n = 400000 caps a block at 5 rows, so that cell spans several blocks
+        cells = [{"n": 50}, {"n": 400_000}, {"n": 30}]
+        assert _run_replicates(_echo_keys, cells, 13, 7, workers) == [
+            [(7, ci, r) for r in range(13)] for ci in range(len(cells))]
 
     @pytest.mark.parametrize("n, sizes", [
         (50, [1, 4, 3]), (5000, [3, 1, 2]), (20000, [2, 1]), (40000, [1, 2]),
