@@ -232,9 +232,7 @@ def _run_test(parser, args) -> int:
             B=args.replicates, alpha=args.alpha, seed=seed, method=method, M=args.neighbors,
         )
         result = permutation_test(sample, cfg)
-    payload = dataclasses.asdict(result)
-    payload["method"] = result.method.value
-    _emit(args, json.dumps(payload) + "\n")
+    _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
     if args.exit_on_reject and result.reject:
         return 3
     return 0

@@ -37,6 +37,7 @@ from .ranks import (
     sorted_y_ranks,
     validate_neighbor_count,
     validate_rho,
+    validate_sizes,
 )
 
 
@@ -222,7 +223,7 @@ def xi_denominator(n: int, M: int) -> int:
 
 
 def xi_from_min_sum(S: int, n: int, M: int) -> float:
-    """-2 + 24*S / denominator in one correctly rounded division (per entry of an array S)."""
+    """-2 + 24*S / denominator in one correctly rounded division."""
     return -2.0 + (24 * S) / xi_denominator(n, M)
 
 
@@ -534,7 +535,7 @@ def gaussian_population_xi(rho: float, tol: float = 1e-9) -> PopulationXi:
 
 def extremal_bounds_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
     """Exact (upper, lower) attainable range of the M-neighbor coefficient."""
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     upper = 1 - Fraction(3 * (M + 1), 4 * n + M + 1)
     lower = Fraction(-1, 2) + Fraction(3 * (4 * n - (n + 1) * (M + 1)),
                                        2 * (n + 1) * (4 * n + M + 1))
@@ -550,7 +551,7 @@ def extremal_bounds(n: int, M: int) -> tuple[float, float]:
 def monotone_extremal_values_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
     """Exact coefficient when y is a strictly increasing resp. decreasing
     function of x. The increasing case coincides with the upper range bound."""
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     increasing = 1 - Fraction(3 * (M + 1), 4 * n + M + 1)
     decreasing = 1 - Fraction((M + 1) * (15 * n - 8 * M - 1), (n + 1) * (4 * n + M + 1))
     return increasing, decreasing

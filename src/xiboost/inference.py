@@ -54,6 +54,7 @@ from .ranks import (
     validate_alpha,
     validate_count,
     validate_neighbor_count,
+    validate_sizes,
 )
 
 
@@ -243,7 +244,7 @@ def pearson_test(s: Sample, alpha: float) -> TestResult:
 
 def null_variance_asymptotic(n: int, M: int) -> float:
     """Leading-order null variance (2/5)/(nM) + (8/15) M/n**2."""
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     return 0.4 / (n * M) + (8.0 / 15.0) * M / (n * n)
 
 
@@ -258,7 +259,7 @@ def null_moments_enumerate(n: int, M: int) -> NullMoments:
         raise SizeError(f"enumeration is limited to n <= 8, got {n}")
     if n < 2:
         raise SizeError(f"need n >= 2, got {n}")
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     denom = xi_denominator(n, M)
     count = 0
     acc = Fraction(0)

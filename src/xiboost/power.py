@@ -14,11 +14,12 @@ import math
 import numpy as np
 
 from .errors import GammaRangeError
-from .ranks import Sample, validate_count, validate_neighbor_count, validate_rho
+from .ranks import Sample, validate_count, validate_rho, validate_sizes
 
 
 def sample_rotation(rng: np.random.Generator, n: int, rho: float) -> Sample:
     """n i.i.d. pairs with standard normal marginals and correlation rho."""
+    n = validate_count("n", n, 2)
     rho = validate_rho(rho)
     x = rng.standard_normal(n)
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
@@ -31,8 +32,7 @@ def zeta(n: int, M: int) -> float:
     Correlations shrinking slower than this rate are detected with power
     tending to one. Evaluated in log space so extreme n cannot overflow.
     """
-    n = validate_count("n", n, 2)
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     ln, lm = math.log(n), math.log(M)
     first = max(0.5 * ln - 1.5 * lm, -0.5 * lm)
     second = max(-0.25 * (ln + lm), -0.5 * ln + 0.25 * lm)
@@ -57,7 +57,6 @@ def regime_ok(n: int, M: int) -> bool:
     """Advisory check that (n, M) plausibly sits in the regime where the
     local-power guarantees apply: M well above log n and M (log n)^{3/2}
     well below n. Heuristic, not an error condition."""
-    n = validate_count("n", n, 2)
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     ln = math.log(n)
     return M >= ln and M * ln ** 1.5 <= n

@@ -246,12 +246,19 @@ def validate_neighbor_count(n: Optional[int], M) -> int:
 
 def validate_count(name: str, value, least: int, error: type = ConfigError) -> int:
     """The one reading of a count (B, replicates, repetitions, warmup, workers, a
-    seed, a study's n): a plain int >= `least`; anything else raises `error`."""
+    seed, a sample size n): a plain int >= `least`; anything else raises `error`."""
     if _is_whole(value):
         value = int(value)  # a whole float or numpy integer is named as the plain int
         if value >= least:
             return value
     raise error(f"{name} must be >= {least}, got {value!r}")
+
+
+def validate_sizes(n, M) -> tuple[int, int]:
+    """The one reading of a sample size n and its neighbor count M: n by the count
+    rule (at least 2), then M against it, both returned as plain ints."""
+    n = validate_count("n", n, 2)
+    return n, validate_neighbor_count(n, M)
 
 
 def _read_real(value, low: float, high: float, error: type, message: str) -> float:

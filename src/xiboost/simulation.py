@@ -40,7 +40,6 @@ from .coefficients import (
     Method,
     gaussian_population_xi,
     validate_method,
-    xi_from_min_sum,
     xi_pm,
 )
 from .errors import ConfigError, StudyError, XiBoostError
@@ -53,7 +52,7 @@ from .inference import (
 from .power import sample_rotation
 from .ranks import (derive_rng, derive_seed, max_batch_rows, rank_dtype, sorted_y_ranks,
                     validate_alpha, validate_count, validate_grid, validate_neighbor_count,
-                    validate_rho, validate_rho0)
+                    validate_rho, validate_rho0, validate_sizes)
 
 SCHEMA_VERSION = 1
 
@@ -225,7 +224,7 @@ def _null_block(cell: dict, keys: list) -> list:
         row[...] = derive_rng(seed, rep).permutation(n)
     rows += 1
     spec = METHODS[Method.XI_NM]
-    return spec.scale(spec.score(rows, M), n, M).tolist()
+    return [spec.scale(int(S), n, M) for S in spec.score(rows, M)]
 
 
 def null_calibration_study(n: int, M: int, replicates: int, seed: int,
@@ -240,8 +239,7 @@ def null_calibration_study(n: int, M: int, replicates: int, seed: int,
     from scipy.stats import kstest
 
     replicates = validate_count("replicates", replicates, 2)
-    n = _study_n(n)
-    M = validate_neighbor_count(n, M)
+    n, M = validate_sizes(n, M)
     seed = validate_count("seed", seed, 0)
     workers = validate_count("workers", workers, 1)
     cell = {"n": n, "M": M}
@@ -278,7 +276,8 @@ def _consistency_block(cell: dict, keys: list) -> list:
     for row, key in zip(rows, keys):
         with _replicate(cell, key):
             row[...] = sorted_y_ranks(sample_rotation(derive_rng(*key), n, cell["rho"]))
-    return [xi_from_min_sum(int(S), n, M) for S in METHODS[Method.XI_NM].score(rows, M)]
+    spec = METHODS[Method.XI_NM]
+    return [spec.scale(int(S), n, M) for S in spec.score(rows, M)]
 
 
 def consistency_study(rho_values: Sequence[float], n_values: Sequence[int],

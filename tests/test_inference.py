@@ -374,6 +374,11 @@ class TestNullMomentsEnumerate:
         with pytest.raises(SizeError, match="^need n >= 2, got 1$"):
             null_moments_enumerate(1, 1)
 
+    def test_n_by_the_count_rule(self):
+        assert repr(null_moments_enumerate(5.0, 2)) == repr(null_moments_enumerate(5, 2))
+        with pytest.raises(ConfigError, match=r"^n must be >= 2, got 4\.5$"):
+            null_moments_enumerate(4.5, 2)
+
 
 class TestFastPathEquivalence:
     def test_identity_permutation(self):

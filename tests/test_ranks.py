@@ -1,10 +1,13 @@
 """Tests for ranking, x-ordering, right neighbors, and permutation sampling."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import xiboost
 from xiboost import (
     ConfigError,
     DegenerateError,
@@ -21,23 +24,33 @@ from xiboost import (
     consistency_study,
     derive_rng,
     derive_seed,
+    extremal_bounds,
     extremal_bounds_exact,
     gaussian_population_xi,
+    monotone_extremal_values_exact,
     null_calibration_study,
+    null_moments_enumerate,
     null_variance_asymptotic,
     pearson_test,
     permutation_test,
+    permutation_test_fast_path_equivalence,
     power_study,
     random_rank_permutation,
     reflect_ranks,
     regime_ok,
+    replicate_statistic_from_permutation,
     RhoRangeError,
     right_neighbor,
     sample_rotation,
     sorted_y_ranks,
+    symmetric_nn_sum,
     timing_study,
     x_order,
     xi_nm,
+    xi_nm_exact,
+    xi_nm_from_ranks,
+    xi_nm_reflected,
+    xi_pm,
     zeta,
 )
 from xiboost.coefficients import score_sample
@@ -326,6 +339,7 @@ class TestSeedDerivation:
 
 
 RULE_SAMPLE = sample_rotation(derive_rng(41), 30, 0.6)
+RULE_RANKS = compute_ranks(RULE_SAMPLE.y)
 
 
 def _timing_cells(M):
@@ -337,14 +351,30 @@ def _timing_cells(M):
 # report's JSON) tells a plain int from a numpy integer or a float
 M_ENTRY_POINTS = {
     "xi_nm": lambda M: xi_nm(RULE_SAMPLE, M),
+    "xi_pm": lambda M: xi_pm(RULE_SAMPLE, M),
+    "xi_nm_reflected": lambda M: xi_nm_reflected(RULE_SAMPLE, M),
+    "symmetric_nn_sum": lambda M: symmetric_nn_sum(RULE_SAMPLE, M),
+    "xi_nm_exact": lambda M: xi_nm_exact(RULE_SAMPLE, M),
+    "xi_nm_from_ranks": lambda M: xi_nm_from_ranks(RULE_RANKS, None, M),
+    "replicate_statistic_from_permutation": lambda M: replicate_statistic_from_permutation(
+        RULE_RANKS, M),
+    "permutation_test_fast_path_equivalence": lambda M: permutation_test_fast_path_equivalence(
+        RULE_RANKS, M),
     "score_sample": lambda M: score_sample(RULE_SAMPLE, Method.SYMMETRIC_NN, M),
+    "PermutationTestConfig": lambda M: PermutationTestConfig(
+        B=19, alpha=0.05, seed=3, method=Method.XI_PM, M=M),
     "permutation_test": lambda M: permutation_test(RULE_SAMPLE, PermutationTestConfig(
         B=19, alpha=0.05, seed=3, method=Method.XI_PM, M=M)),
     "asymptotic_test": lambda M: asymptotic_test(RULE_SAMPLE, M, 0.05, override=True),
     "null_variance_asymptotic": lambda M: null_variance_asymptotic(30, M),
+    "null_moments_enumerate": lambda M: null_moments_enumerate(5, M),
     "zeta": lambda M: zeta(30, M),
     "regime_ok": lambda M: regime_ok(10_000, M),
+    "extremal_bounds": lambda M: extremal_bounds(30, M),
     "extremal_bounds_exact": lambda M: extremal_bounds_exact(30, M),
+    "monotone_extremal_values_exact": lambda M: monotone_extremal_values_exact(30, M),
+    "null_calibration_study": lambda M: report_to_json(
+        null_calibration_study(30, M, replicates=3, seed=1)),
     "power_study": lambda M: report_to_json(power_study(PowerStudyConfig(
         n_values=[30], M_values=[M], rho0_values=[2.0], methods=["xi-pm", "symmetric-nn"],
         replicates=3, B=19, master_seed=1))),
@@ -447,6 +477,22 @@ COUNT_ENTRY_POINTS = {
     ("timing_study", "seed"): (lambda v: _timing(seed=v), 1, "seed", 0),
     ("zeta", "n"): (lambda v: zeta(v, 3), 30, "n", 2),
     ("regime_ok", "n"): (lambda v: regime_ok(v, 3), 10_000, "n", 2),
+    ("null_variance_asymptotic", "n"): (lambda v: null_variance_asymptotic(v, 3), 30, "n", 2),
+    ("extremal_bounds", "n"): (lambda v: extremal_bounds(v, 3), 30, "n", 2),
+    ("extremal_bounds_exact", "n"): (lambda v: extremal_bounds_exact(v, 3), 30, "n", 2),
+    ("monotone_extremal_values_exact", "n"): (
+        lambda v: monotone_extremal_values_exact(v, 3), 30, "n", 2),
+    ("sample_rotation", "n"): (lambda v: sample_rotation(derive_rng(5), v, 0.3).y.tolist(),
+                               30, "n", 2),
+}
+
+# public callables whose n or M the tables above leave out, each with its reason
+UNTABLED_SIZES = {
+    "CoefficientValue": "a result record: it stores the n and M its function read",
+    "NullMoments": "a result record: it stores the n and M null_moments_enumerate read",
+    "TestResult": "a result record: it stores the n and M its test read",
+    "null_moments_enumerate": "its two SizeError guards on n, pinned by test_size_guard, come first",
+    "random_rank_permutation": "its n is a SizeError count with least 1",
 }
 
 ALPHA_ENTRY_POINTS = {
@@ -541,11 +587,28 @@ class TestSettingRules:
     def test_n_is_read_before_m(self):
         with pytest.raises(ConfigError, match=r"^n must be >= 2, got 1$"):
             null_calibration_study(1, 1, replicates=3, seed=1)
+        with pytest.raises(ConfigError, match=r"^n must be >= 2, got True$"):
+            null_variance_asymptotic(True, 1)
         with pytest.raises(ConfigError, match=r"^n must be >= 2, got 50\.7$"):
             consistency_study([0.5], [50.7], [2], replicates=3, seed=1)
         for rule in (zeta, regime_ok):
             with pytest.raises(ConfigError, match=r"^n must be >= 2, got 50\.7$"):
                 rule(50.7, 3)
+
+    def test_every_public_n_and_m_is_tabled(self):
+        missing = []
+        for name in xiboost.__all__:
+            try:
+                params = inspect.signature(getattr(xiboost, name)).parameters
+            except (TypeError, ValueError):  # a constant or an exception class
+                continue
+            if name in UNTABLED_SIZES:
+                continue
+            if "n" in params and (name, "n") not in COUNT_ENTRY_POINTS:
+                missing.append((name, "n"))
+            if "M" in params and name not in M_ENTRY_POINTS:
+                missing.append((name, "M"))
+        assert missing == []
 
     def test_internal_counts_keep_their_error_class(self):
         with pytest.raises(MRangeError, match=r"^m must be >= 1, got 2\.5$"):
