@@ -8,7 +8,6 @@ significant digits and a decimal marker so numeric values re-parse exactly.
 from __future__ import annotations
 
 import json
-import re
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -25,6 +24,9 @@ _SPLITLINES_ONLY_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
 # np.loadtxt decompresses a file whose name ends in one of these; the line
 # scanner reads every file as text.
 _LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# Characters the pre-scan of load_sample reads at a time, so that its memory
+# stays near one chunk whatever the size of the file.
+_SCAN_CHUNK = 2 ** 20
 
 
 def _parse_float(token: str) -> float:
@@ -78,6 +80,10 @@ def load_sample(path: Union[str, Path]) -> Sample:
     the one source of the :class:`ParseError` line and column and of the
     :class:`SizeError`, so a malformed file is read twice. A file that is not
     UTF-8 raises :class:`ParseError` at the line of its first bad byte.
+
+    The pre-scan that picks the delimiter, the header and the lines to skip
+    reads the file line by line up to its first nonblank line and then in
+    chunks of about a million characters; it never holds the whole text.
     """
     sample = _load_vectorized(path)
     return sample if sample is not None else _scan_sample(path)
@@ -88,17 +94,10 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
     path = Path(path)
     if not path.is_file() or path.suffix in _LOADTXT_DECOMPRESSED:
         return None  # a pipe cannot be read twice
-    text = _read_text(path)
-    first = re.search(r"\S", text)
-    if first is None or any(brk in text for brk in _SPLITLINES_ONLY_BREAKS):
+    head = _pre_scan(path)
+    if head is None:
         return None
-    start = first.start()
-    end = text.find("\n", start)
-    if end < 0:
-        return None  # one nonblank line holds at most one row
-    delimiter, header = _head(text[start:end].strip())
-    skiprows = text.count("\n", 0, end + 1 if header else start)
-    del text  # np.loadtxt reads the file itself; hold no copy meanwhile
+    delimiter, skiprows = head
     with warnings.catch_warnings():
         # a header followed by blank lines only; the scanner raises SizeError
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -111,6 +110,38 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
         return None
     x, y = table.T.copy()
     return Sample(x, y)
+
+
+def _pre_scan(path: Path) -> Optional[tuple[str, int]]:
+    """The delimiter and the count of lines before the first data row, read
+    from the text :func:`_read_text` would give: line by line up to the first
+    nonblank line, then in chunks of :data:`_SCAN_CHUNK` characters. None,
+    for the scanner to decide, when no "\n" ends a nonblank line, when the
+    text holds a splitlines-only break, or when a byte is not UTF-8."""
+    blank_lines = 0
+    try:
+        # text mode reads "\r\n" and "\r" as "\n", as _read_text does
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                if any(brk in line for brk in _SPLITLINES_ONLY_BREAKS):
+                    return None
+                if line.strip():
+                    break
+                blank_lines += 1
+            else:
+                return None
+            if not line.endswith("\n"):
+                return None  # one nonblank line holds at most one row
+            delimiter, header = _head(line.strip())
+            chunk = f.read(_SCAN_CHUNK)
+            while chunk:
+                if any(brk in chunk for brk in _SPLITLINES_ONLY_BREAKS):
+                    return None
+                del chunk  # so that one chunk, not two, is held while the next is read
+                chunk = f.read(_SCAN_CHUNK)
+    except UnicodeDecodeError:
+        return None  # the scanner names the line and column of the bad byte
+    return delimiter, blank_lines + (1 if header else 0)
 
 
 def _scan_sample(path: Union[str, Path]) -> Sample:

@@ -47,6 +47,7 @@ from .coefficients import (
 from .errors import RegimeError, SizeError
 from .ranks import (
     Sample,
+    _is_whole,
     block_rows,
     derive_rng,
     max_batch_rows,
@@ -255,10 +256,11 @@ def null_moments_enumerate(n: int, M: int) -> NullMoments:
     the x-order, so this loses nothing) and averages in exact rational
     arithmetic. Limited to n <= 8.
     """
-    if n > 8:
-        raise SizeError(f"enumeration is limited to n <= 8, got {n}")
-    if n < 2:
-        raise SizeError(f"need n >= 2, got {n}")
+    if _is_whole(n):  # the count rule in validate_sizes names any other n
+        if n > 8:
+            raise SizeError(f"enumeration is limited to n <= 8, got {n}")
+        if n < 2:
+            raise SizeError(f"need n >= 2, got {n}")
     n, M = validate_sizes(n, M)
     denom = xi_denominator(n, M)
     count = 0

@@ -190,13 +190,20 @@ def sorted_y_ranks(s: Sample) -> np.ndarray:
 
     A tie raises :class:`TieError` for coordinate "x" or "y"; a y tie, found
     in x order, is named by :func:`_strict_order` on ``s.y``.
+
+    Each array is dropped once it is no longer needed, so on a tie-free
+    sample at most three n-long arrays beyond the sample are live at a time:
+    y in x order, its order and its sorted copy, then that order, the ranks
+    and the values 1..n written into them.
     """
     ox = _strict_order(s.x, "x")
     ys = s.y[ox]
+    del ox
     oy = np.argsort(ys)
     ys = ys[oy]
     if (ys[1:] == ys[:-1]).any():
         _strict_order(s.y, "y")
+    del ys
     rs = np.empty(s.n, dtype=np.int64)
     rs[oy] = np.arange(1, s.n + 1)
     return rs

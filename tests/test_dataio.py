@@ -7,10 +7,13 @@ message.
 """
 
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xiboost
-from xiboost import ParseError, SizeError
-from xiboost.dataio import _load_vectorized, _scan_sample, load_sample
+from xiboost import ParseError, SizeError, dataio
+from xiboost.dataio import (_head, _load_vectorized, _pre_scan, _read_text, _scan_sample,
+                            load_sample)
 
 SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 SEPARATORS = [",", "\t", ", "]
@@ -45,6 +49,29 @@ def write(tmp_path, text, name="d.csv"):
     p = tmp_path / name
     p.write_bytes(text.encode("utf-8"))
     return p
+
+
+def whole_text_head(path):
+    """The delimiter and skiprows that a pre-scan holding the whole text
+    finds, or None: the reference for the chunked `_pre_scan`."""
+    try:
+        text = _read_text(path)
+    except ParseError:
+        return None
+    first = re.search(r"\S", text)
+    if first is None or any(brk in text for brk in SPLITLINES_ONLY):
+        return None
+    start = first.start()
+    end = text.find("\n", start)
+    if end < 0:
+        return None
+    delimiter, header = _head(text[start:end].strip())
+    return delimiter, text.count("\n", 0, end + 1 if header else start)
+
+
+def rows_text(count):
+    """`count` clean comma rows: about 11 characters each for a count near 1e5."""
+    return "".join(f"{i},{i}.5\n" for i in range(count))
 
 
 @st.composite
@@ -82,7 +109,20 @@ class TestLoaderMatchesScanner:
     @settings(max_examples=300, deadline=None)
     @given(text=data_files())
     def test_differential(self, tmp_path_factory, text):
-        assert_same(write(tmp_path_factory.mktemp("fuzz"), text))
+        p = write(tmp_path_factory.mktemp("fuzz"), text)
+        assert _pre_scan(p) == whole_text_head(p)
+        assert_same(p)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @settings(max_examples=150, deadline=None)
+    @given(text=data_files())
+    def test_differential_across_chunk_boundaries(self, tmp_path_factory, chunk, text):
+        # chunks of a few characters end inside "\r\n", a multi-byte
+        # character, a row and a run of blank lines
+        p = write(tmp_path_factory.mktemp("fuzz"), text)
+        with mock.patch.object(dataio, "_SCAN_CHUNK", chunk):
+            assert _pre_scan(p) == whole_text_head(p)
+            assert_same(p)
 
     def test_fast_path_taken_on_clean_files(self, tmp_path):
         for text in ["x,y\n1,2\n3,4\n", "\n\n 1 ,2\r\n3,4\r\n\n", "a\tb\n1\t2\n3\t4"]:
@@ -166,6 +206,71 @@ class TestLoaderMatchesScanner:
         with pytest.raises(ParseError, match="is not UTF-8$") as exc:
             load_sample(p)
         assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_break_after_the_first_chunk(self, tmp_path):
+        head = "x,y\n" + rows_text(100_000)
+        assert len(head) > dataio._SCAN_CHUNK
+        assert _pre_scan(write(tmp_path, head + "7,8\n9,10\n")) == (",", 1)
+        p = write(tmp_path, head + "7,8\u20289,10\n")
+        assert _pre_scan(p) is None
+        assert_same(p)
+        assert load_sample(p).y[-2:].tolist() == [8.0, 10.0]
+
+    def test_bad_byte_after_the_first_chunk(self, tmp_path):
+        head = "x,y\n" + rows_text(100_000)
+        assert len(head) > dataio._SCAN_CHUNK
+        p = tmp_path / "d.csv"
+        p.write_bytes(head.encode("utf-8") + b"3,\xff4\n")
+        assert _pre_scan(p) is None
+        assert_same(p)
+        with pytest.raises(ParseError) as exc:
+            load_sample(p)
+        assert str(exc.value) == "line 100002, column 3: byte 0xff is not UTF-8"
+        assert (exc.value.line, exc.value.column) == (100_002, 3)
+
+    def test_byte_order_mark_is_kept(self, tmp_path):
+        # like _read_text, the pre-scan keeps a leading U+FEFF as a character
+        p = write(tmp_path, "\ufeffx,y\n1,2\n3,4\n")
+        assert _pre_scan(p) == whole_text_head(p) == (",", 1)
+        assert_same(p)
+        assert load_sample(p).x.tolist() == [1.0, 3.0]
+        q = write(tmp_path, "\ufeff1,2\n3,4\n")  # "2" parses, so no header
+        assert _pre_scan(q) == whole_text_head(q) == (",", 0)
+        assert_same(q)
+        with pytest.raises(ParseError, match="^line 1, column 1: not a number"):
+            load_sample(q)
+
+    def test_blank_lines_longer_than_a_chunk(self, tmp_path):
+        blank = " \n\t\r\n\n\r" * (dataio._SCAN_CHUNK // 5)
+        assert len(blank) > dataio._SCAN_CHUNK
+        p = write(tmp_path, blank + "x\ty\n1\t2\n3\t4\n")
+        assert _pre_scan(p) == whole_text_head(p) == ("\t", 4 * (dataio._SCAN_CHUNK // 5) + 1)
+        assert_same(p)
+        assert load_sample(p).y.tolist() == [2.0, 4.0]
+
+    def test_pre_scan_holds_chunks_not_the_file(self, tmp_path, monkeypatch):
+        """Until np.loadtxt is entered, traced memory on a 7.5 MiB file peaks
+        below 4 MiB: the pre-scan holds a chunk or two, never the file's bytes
+        or text."""
+        rows = np.random.default_rng(29).standard_normal((200_000, 2)).tolist()
+        p = write(tmp_path, "x,y\n" + "".join(f"{u!r},{v!r}\n" for u, v in rows))
+        assert p.stat().st_size >= 7 * 2 ** 20
+        peaks = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(dataio.np, "loadtxt", spy)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = load_sample(p)
+        finally:
+            tracemalloc.stop()
+        assert s.n == 200_000 and len(peaks) == 1
+        assert peaks[0] < 4 * 2 ** 20, peaks[0] / 2 ** 20
 
     def test_columns_are_contiguous(self, tmp_path):
         s = load_sample(write(tmp_path, "1,2\n3,4\n5,6\n"))

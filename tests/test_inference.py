@@ -378,6 +378,9 @@ class TestNullMomentsEnumerate:
         assert repr(null_moments_enumerate(5.0, 2)) == repr(null_moments_enumerate(5, 2))
         with pytest.raises(ConfigError, match=r"^n must be >= 2, got 4\.5$"):
             null_moments_enumerate(4.5, 2)
+        for n, shown in (("5", "'5'"), (None, "None"), (True, "True")):
+            with pytest.raises(ConfigError, match=rf"^n must be >= 2, got {shown}$"):
+                null_moments_enumerate(n, 1)
 
 
 class TestFastPathEquivalence:

@@ -1,6 +1,7 @@
 """Tests for ranking, x-ordering, right neighbors, and permutation sampling."""
 
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,21 @@ class TestSample:
         assert sorted_y_ranks(Sample(x, y)).tolist() == \
             (compute_ranks(y)[x_order(x).order]).tolist()
 
+    def test_sorted_y_ranks_holds_three_arrays(self):
+        """Beyond its input, ordering a tie-free sample allocates at most three
+        n-long arrays at a time, its result among them."""
+        n = 200_000
+        rng = derive_rng(28)
+        s = Sample(rng.standard_normal(n), rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sorted_y_ranks(s)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra <= 3 * 8 * n + 2 ** 16, extra / (8 * n)
+
 
 class TestSeedDerivation:
     def test_distinct_keys_distinct_seeds(self):
@@ -491,7 +507,8 @@ UNTABLED_SIZES = {
     "CoefficientValue": "a result record: it stores the n and M its function read",
     "NullMoments": "a result record: it stores the n and M null_moments_enumerate read",
     "TestResult": "a result record: it stores the n and M its test read",
-    "null_moments_enumerate": "its two SizeError guards on n, pinned by test_size_guard, come first",
+    "null_moments_enumerate": "its two SizeError guards on a whole n, pinned by test_size_guard, "
+                              "come first",
     "random_rank_permutation": "its n is a SizeError count with least 1",
 }
 
