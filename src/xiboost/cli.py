@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import dataio
@@ -92,10 +93,9 @@ def _load(args, seed: Optional[int]):
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        from pathlib import Path
-
-        Path(args.output).write_text(text)
+    if args.output:
+        with open(args.output, "w") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -112,16 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, seed=True, output=True):
+    def add_common(p, data=True):
         if data:
             p.add_argument("data", help="two-column CSV (comma or tab)")
             p.add_argument("--jitter", action="store_true",
                            help="break ties: spread tied values in seeded random order")
-        if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
-        if output:
-            p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
+        p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
 
     coef = sub.add_parser("coef", help="compute one coefficient")
     coef.add_argument("--method", required=True, choices=[m.value for m in Method])
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bd = sub.add_parser("boundary", help="detection-boundary curves for plotting")
     bd.add_argument("--gamma-grid", default=None, metavar="START:STOP:STEP",
-                    help="emit (gamma, beta) rows on this grid")
+                    help="emit (gamma, beta) rows on this grid, read as exact decimals")
     bd.add_argument("--n", type=int, default=None)
     bd.add_argument("--M-values", type=_int_list, default=None)
     bd.add_argument("-o", "--output", default=None)
@@ -265,16 +263,15 @@ def _run_boundary(parser, args) -> int:
     lines = []
     if args.gamma_grid:
         try:
-            start, stop, step = (float(tok) for tok in args.gamma_grid.split(":"))
-        except ValueError:
+            start, stop, step = (Fraction(tok) for tok in args.gamma_grid.split(":"))
+        except (ValueError, ZeroDivisionError):
             parser.error("--gamma-grid must look like START:STOP:STEP")
         if step <= 0:
             parser.error("--gamma-grid step must be positive")
         lines.append("gamma,beta")
-        g = start
-        while g <= stop + 1e-12:
-            lines.append(f"{g:.10g},{beta_of_gamma(g)!r}")
-            g += step
+        for k in range((stop - start) // step + 1):
+            g = start + k * step
+            lines.append(f"{float(g):.10g},{float(beta_of_gamma(g))!r}")
     elif args.n is not None and args.M_values:
         lines.append("n,M,zeta")
         for M in args.M_values:
@@ -290,9 +287,6 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         if args.command == "coef":
             return _run_coef(parser, args)
         if args.command == "test":
@@ -313,7 +307,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
                                   warmup=args.warmup, seed=_resolve_seed(parser, args))
         _emit_report(args, report)
         return 0
-    except SystemExit as exc:  # parser.error inside handlers
+    except SystemExit as exc:  # a usage error, from parsing or from parser.error in a handler
         return int(exc.code or 0)
     except (XiBoostError, OSError) as exc:  # OSError: unreadable input, unwritable output
         print(f"xiboost: error: {exc}", file=sys.stderr)

@@ -311,14 +311,18 @@ def symmetric_nn_sum(s: Sample, M: int) -> CoefficientValue:
 
 
 def pearson_r(s: Sample) -> CoefficientValue:
-    """Sample Pearson correlation; requires n >= 3 and nonzero variances."""
+    """Sample Pearson correlation; requires n >= 3 and no constant coordinate. Each
+    coordinate, then each centred one, is scaled exactly by the power of two that brings
+    its largest magnitude into [0.5, 1), so r holds at any finite magnitude."""
+    def unit(v):
+        return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+
     if s.n < 3:
         raise SizeError(f"Pearson correlation needs n >= 3, got {s.n}")
-    dx = s.x - s.x.mean()
-    dy = s.y - s.y.mean()
-    denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
-    if denom == 0.0:
+    if s.x.min() == s.x.max() or s.y.min() == s.y.max():  # its mean may not round back
         raise DegenerateError("zero variance in a coordinate")
+    dx, dy = (unit(v - v.mean()) for v in map(unit, (s.x, s.y)))
+    denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
     value = min(1.0, max(-1.0, float((dx * dy).sum()) / denom))
     return CoefficientValue(value=value, method=Method.PEARSON, n=s.n)
 
@@ -484,9 +488,11 @@ def validate_method_m(method: Method, n: Optional[int], M) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # population measure for the Gaussian rotation model
 
+_QUAD_TOL = 1e-9  # target error of xi; its nested quadratures run at 1/10 and 1/100 of it
+
 
 @lru_cache(maxsize=256)
-def _population_xi_value(rho: float, tol: float) -> float:
+def _population_xi_value(rho: float) -> float:
     from scipy import integrate
     from scipy.special import ndtr
 
@@ -504,18 +510,18 @@ def _population_xi_value(rho: float, tol: float) -> float:
         def f(x: float) -> float:
             return sf((y - rho * x) / sig) ** 2 * phi(x)
 
-        val, _ = integrate.quad(f, -np.inf, np.inf, epsabs=tol * 1e-2, limit=200)
+        val, _ = integrate.quad(f, -np.inf, np.inf, epsabs=_QUAD_TOL * 1e-2, limit=200)
         return val
 
     def integrand(y: float) -> float:
         # Var_x P(Y >= y | X = x), weighted by the marginal density of y
         return (conditional_sf_sq_mean(y) - sf(y) ** 2) * phi(y)
 
-    num, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=tol * 1e-1, limit=200)
+    num, _ = integrate.quad(integrand, -np.inf, np.inf, epsabs=_QUAD_TOL * 1e-1, limit=200)
     return 6.0 * num
 
 
-def gaussian_population_xi(rho: float, tol: float = 1e-9) -> PopulationXi:
+def gaussian_population_xi(rho: float) -> PopulationXi:
     """Population dependence measure of a standard bivariate normal.
 
     Evaluates the variance-of-conditional-survival functional by nested
@@ -524,9 +530,9 @@ def gaussian_population_xi(rho: float, tol: float = 1e-9) -> PopulationXi:
     """
     rho = validate_rho(rho)
     if rho == 0.0:
-        return PopulationXi(rho=0.0, xi=0.0, quadrature_tolerance=tol)
-    return PopulationXi(rho=rho, xi=_population_xi_value(abs(rho), tol),
-                        quadrature_tolerance=tol)
+        return PopulationXi(rho=0.0, xi=0.0, quadrature_tolerance=_QUAD_TOL)
+    return PopulationXi(rho=rho, xi=_population_xi_value(abs(rho)),
+                        quadrature_tolerance=_QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +558,7 @@ def monotone_extremal_values_exact(n: int, M: int) -> tuple[Fraction, Fraction]:
     """Exact coefficient when y is a strictly increasing resp. decreasing
     function of x. The increasing case coincides with the upper range bound."""
     n, M = validate_sizes(n, M)
-    increasing = 1 - Fraction(3 * (M + 1), 4 * n + M + 1)
+    increasing, _ = extremal_bounds_exact(n, M)
     decreasing = 1 - Fraction((M + 1) * (15 * n - 8 * M - 1), (n + 1) * (4 * n + M + 1))
     return increasing, decreasing
 

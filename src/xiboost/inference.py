@@ -223,7 +223,7 @@ def asymptotic_test(s: Sample, M: int, alpha: float, override: bool = False) -> 
 
 def pearson_test(s: Sample, alpha: float) -> TestResult:
     """Two-sided parametric t-test on the Pearson correlation."""
-    from scipy.stats import t as student_t
+    from scipy.special import stdtr
 
     alpha = validate_alpha(alpha)
     r = pearson_r(s).value
@@ -232,7 +232,7 @@ def pearson_test(s: Sample, alpha: float) -> TestResult:
         p_value = math.ulp(0.0)
     else:
         t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-        p_value = max(2.0 * float(student_t.sf(abs(t_stat), df=n - 2)), math.ulp(0.0))
+        p_value = max(2.0 * float(stdtr(n - 2, -abs(t_stat))), math.ulp(0.0))
     return TestResult(
         statistic=r,
         p_value=min(p_value, 1.0),

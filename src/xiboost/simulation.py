@@ -50,9 +50,9 @@ from .inference import (
     permutation_reject,
 )
 from .power import sample_rotation
-from .ranks import (derive_rng, derive_seed, max_batch_rows, rank_dtype, sorted_y_ranks,
-                    validate_alpha, validate_count, validate_grid, validate_neighbor_count,
-                    validate_rho, validate_rho0, validate_sizes)
+from .ranks import (derive_rng, derive_seed, max_batch_rows, random_rank_permutation,
+                    rank_dtype, sorted_y_ranks, validate_alpha, validate_count, validate_grid,
+                    validate_neighbor_count, validate_rho, validate_rho0, validate_sizes)
 
 SCHEMA_VERSION = 1
 
@@ -221,8 +221,7 @@ def _null_block(cell: dict, keys: list) -> list:
     rows = np.empty((len(keys), n), dtype=rank_dtype(n))
     for row, (seed, _, rep) in zip(rows, keys):
         # the null stream predates cell keys: replicate r draws (seed, r), not (seed, 0, r)
-        row[...] = derive_rng(seed, rep).permutation(n)
-    rows += 1
+        row[...] = random_rank_permutation(derive_rng(seed, rep), n)
     spec = METHODS[Method.XI_NM]
     return [spec.scale(int(S), n, M) for S in spec.score(rows, M)]
 

@@ -559,6 +559,41 @@ class TestPearson:
         with pytest.raises(SizeError):
             pearson_r(Sample([1.0, 2.0], [1.0, 2.0]))
 
+    @pytest.mark.parametrize("n", [3, 7, 100])
+    def test_constant_coordinate_whose_mean_rounds(self, n):
+        # the computed mean of n copies of 0.1 is not 0.1 at these n
+        x = np.full(n, 0.1)
+        assert x.mean() != 0.1
+        with pytest.raises(DegenerateError):
+            pearson_r(Sample(x, np.arange(float(n))))
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-200, 1e300, 1e-300, 3.4e307],
+                             ids=str)
+    def test_any_finite_magnitude(self, magnitude):
+        x = np.arange(1.0, 6.0) * magnitude
+        assert pearson_r(Sample(x, x)).value == 1.0
+        assert pearson_r(Sample(x, -x)).value == -1.0
+        assert pearson_r(Sample(x, x[::-1])).value == -1.0
+
+    def test_matches_the_plain_formula(self):
+        """Scaling by powers of two is exact: wherever the plain formula's sums
+        neither overflow nor underflow, r is the same float."""
+        def plain_r(x, y):
+            dx = x - x.mean()
+            dy = y - y.mean()
+            denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
+            return min(1.0, max(-1.0, float((dx * dy).sum()) / denom))
+
+        rng = derive_rng(2026)
+        for _ in range(500):
+            n = int(rng.integers(3, 300))
+            rho = rng.uniform(-0.99, 0.99)
+            x = rng.standard_normal(n)
+            y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
+            x = (x + rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-30, 30)
+            y = (y + rng.uniform(-10, 10)) * 10.0 ** rng.uniform(-30, 30)
+            assert pearson_r(Sample(x, y)).value == plain_r(x, y)
+
 
 class TestHoeffdingD:
     def test_maximal_at_identity_n5(self):

@@ -334,6 +334,19 @@ class TestPearsonTest:
             rejections += pearson_test(s, 0.05).reject
         assert rejections / 400 <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 400)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 12, 61, 100, 1000, 20_000])
+    def test_p_value_is_the_student_t_tail(self, n):
+        """The p-value is 2 P(T >= |t|) for Student's t with n - 2 degrees of
+        freedom, as scipy.stats computes it, at t from near 0 to far tails."""
+        from scipy.stats import t as student_t
+
+        for rep, rho in enumerate([0.0, 0.01, 0.1, 0.3, 0.6, 0.9, 0.99]):
+            res = pearson_test(sample_rotation(derive_rng(n, rep), n, rho), 0.05)
+            r = res.statistic
+            t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
+            expected = max(2.0 * float(student_t.sf(abs(t_stat), n - 2)), math.ulp(0.0))
+            assert res.p_value == min(expected, 1.0)
+
 
 class TestNullVariance:
     def test_documented_values(self):

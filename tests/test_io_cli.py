@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,17 @@ class TestCli:
         for line in lines[1:]:
             g, b = (float(tok) for tok in line.split(","))
             assert b == pytest.approx(beta_of_gamma(g))
+
+    def test_boundary_gamma_grid_is_exact(self, capsys):
+        """The README's grid reads its decimals exactly: 99 rows, and each beta
+        is the exact rational value rounded once to a float."""
+        assert cli_dispatch(["boundary", "--gamma-grid", "0.01:0.99:0.01"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "gamma,beta" and len(lines) == 100
+        rows = dict(line.split(",") for line in lines[1:])
+        assert (rows["0.5"], rows["0.25"]) == ("0.375", "0.3125")
+        for k, line in enumerate(lines[1:], start=1):
+            assert line == f"{k / 100:.10g},{float(beta_of_gamma(Fraction(k, 100)))!r}"
 
     def test_boundary_zeta(self, capsys):
         assert cli_dispatch(["boundary", "--n", "10000", "--M-values", "1,10,100"]) == 0

@@ -2,10 +2,15 @@
 worker counts, and error propagation."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xiboost
 from xiboost import (
     ConfigError,
     DegenerateError,
@@ -115,6 +120,22 @@ class TestPowerStudy:
         with pytest.raises(ConfigError, match=method):
             PowerStudyConfig(n_values=[10], M_values=[1], rho0_values=[0.0],
                              methods=["xi-pm", method])
+
+    def test_pearson_cells_load_no_scipy_stats(self):
+        """Pearson's t-test takes its tail from scipy.special; a power study
+        runs without loading the scipy.stats layer."""
+        code = (
+            "import sys\n"
+            "from xiboost import PowerStudyConfig, power_study\n"
+            "power_study(PowerStudyConfig(n_values=[40], M_values=[2], rho0_values=[0.0, 3.0],\n"
+            "    methods=['xi-pm', 'pearson'], replicates=5, B=19, master_seed=3, workers=1))\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(xiboost.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestNullCalibrationStudy:
