@@ -28,7 +28,6 @@ from .power import beta_of_gamma, zeta
 from .simulation import (
     POWER_METHODS,
     PowerStudyConfig,
-    StudyReport,
     consistency_study,
     null_calibration_study,
     power_study,
@@ -85,11 +84,16 @@ def _resolve_seed(parser: argparse.ArgumentParser, args) -> int:
     parser.error(f"--seed is required (or set {SEED_ENV_VAR})")
 
 
-def _load(args, seed: Optional[int]):
+def _load(parser, args, method: Method, needs_seed: bool = False):
+    """The data commands' prologue: check that -M is given exactly for the methods
+    that take it, resolve the seed when the command or --jitter needs one, and
+    load (and jitter) the sample. Returns (sample, seed)."""
+    takes_m = METHODS[method].needs_m
+    if takes_m != (args.neighbors is not None):
+        parser.error(f"--method {args.method} {'requires' if takes_m else 'does not take'} -M")
+    seed = _resolve_seed(parser, args) if needs_seed or args.jitter else args.seed
     sample = dataio.load_sample(args.data)
-    if args.jitter:
-        sample = sample.jittered(seed)
-    return sample
+    return (sample.jittered(seed) if args.jitter else sample), seed
 
 
 def _emit(args, text: str) -> None:
@@ -100,10 +104,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_report(args, report: StudyReport) -> None:
-    _emit(args, dataio.format_report(report, args.output, args.format))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xiboost",
@@ -112,25 +112,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_method(p, choices):  # first, so each usage line keeps its flag order
+        p.add_argument("--method", required=True, choices=choices)
+        p.add_argument("-M", "--neighbors", type=int, default=None)
+
     def add_common(p, data=True):
         if data:
             p.add_argument("data", help="two-column CSV (comma or tab)")
             p.add_argument("--jitter", action="store_true",
                            help="break ties: spread tied values in seeded random order")
+        else:  # a study command
+            p.add_argument("--format", choices=["json", "csv"], default=None)
         p.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (fallback: ${SEED_ENV_VAR})")
         p.add_argument("-o", "--output", default=None, help="write here instead of stdout")
 
     coef = sub.add_parser("coef", help="compute one coefficient")
-    coef.add_argument("--method", required=True, choices=[m.value for m in Method])
-    coef.add_argument("-M", "--neighbors", type=int, default=None)
+    add_method(coef, [m.value for m in Method])
     coef.add_argument("--json", action="store_true", help="machine-readable output")
     add_common(coef)
 
     test = sub.add_parser("test", help="independence test")
-    test.add_argument("--method", required=True,
-                      choices=_PERMUTATION_CHOICES + ["xi-asymptotic", "pearson"])
-    test.add_argument("-M", "--neighbors", type=int, default=None)
+    add_method(test, _PERMUTATION_CHOICES + ["xi-asymptotic", "pearson"])
     test.add_argument("-B", "--replicates", type=int, default=10_000,
                       help="null replicates for permutation methods")
     test.add_argument("--alpha", type=float, default=0.05)
@@ -151,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--alpha", type=float, default=None)
     pw.add_argument("--workers", type=int, default=None)
     pw.add_argument("--config", default=None, help="key=value file mirroring these flags")
-    pw.add_argument("--format", choices=["json", "csv"], default=None)
     add_common(pw, data=False)
 
     nc = sub.add_parser("null-calibration", help="null moments of the coefficient")
@@ -159,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     nc.add_argument("-M", "--neighbors", type=int, required=True)
     nc.add_argument("--replicates", type=int, default=20_000)
     nc.add_argument("--workers", type=int, default=1)
-    nc.add_argument("--format", choices=["json", "csv"], default=None)
     add_common(nc, data=False)
 
     cons = sub.add_parser("consistency", help="coefficient trajectories vs population value")
@@ -168,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     cons.add_argument("--M-values", type=_int_list, required=True)
     cons.add_argument("--replicates", type=int, default=300)
     cons.add_argument("--workers", type=int, default=1)
-    cons.add_argument("--format", choices=["json", "csv"], default=None)
     add_common(cons, data=False)
 
     tm = sub.add_parser("timing", help="wall-time benchmarks of the coefficient")
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     tm.add_argument("--M-values", type=_int_list, required=True)
     tm.add_argument("--repetitions", type=int, default=30)
     tm.add_argument("--warmup", type=int, default=5)
-    tm.add_argument("--format", choices=["json", "csv"], default=None)
     add_common(tm, data=False)
 
     bd = sub.add_parser("boundary", help="detection-boundary curves for plotting")
@@ -188,21 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_neighbors(parser, args, method: Method) -> None:
-    """-M is given exactly for the methods that take it."""
-    if METHODS[method].needs_m and args.neighbors is None:
-        parser.error(f"--method {args.method} requires -M")
-    if not METHODS[method].needs_m and args.neighbors is not None:
-        parser.error(f"--method {args.method} does not take -M")
-
-
 def _run_coef(parser, args) -> int:
     method = Method(args.method)
-    _check_neighbors(parser, args, method)
-    seed = None
-    if args.jitter:
-        seed = _resolve_seed(parser, args)
-    sample = _load(args, seed)
+    sample, _ = _load(parser, args, method)
     result = (pearson_r(sample) if method is Method.PEARSON
               else score_sample(sample, method, args.neighbors)[0])
     if args.json:
@@ -216,10 +203,7 @@ def _run_coef(parser, args) -> int:
 def _run_test(parser, args) -> int:
     # the normal-limit test is a test of xi-nm
     method = Method.XI_NM if args.method == "xi-asymptotic" else Method(args.method)
-    _check_neighbors(parser, args, method)
-    needs_seed = args.method in _PERMUTATION_CHOICES or args.jitter
-    seed = _resolve_seed(parser, args) if needs_seed else args.seed
-    sample = _load(args, seed)
+    sample, seed = _load(parser, args, method, args.method in _PERMUTATION_CHOICES)
     if args.method == "xi-asymptotic":
         result = asymptotic_test(sample, args.neighbors, args.alpha,
                                  override=args.override_regime)
@@ -231,9 +215,7 @@ def _run_test(parser, args) -> int:
         )
         result = permutation_test(sample, cfg)
     _emit(args, json.dumps(dataclasses.asdict(result)) + "\n")
-    if args.exit_on_reject and result.reject:
-        return 3
-    return 0
+    return 3 if args.exit_on_reject and result.reject else 0
 
 
 def _power_config(parser, args) -> PowerStudyConfig:
@@ -305,7 +287,7 @@ def cli_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         else:  # timing; argparse has refused any other command
             report = timing_study(args.n_values, args.M_values, repetitions=args.repetitions,
                                   warmup=args.warmup, seed=_resolve_seed(parser, args))
-        _emit_report(args, report)
+        _emit(args, dataio.format_report(report, args.output, args.format))
         return 0
     except SystemExit as exc:  # a usage error, from parsing or from parser.error in a handler
         return int(exc.code or 0)

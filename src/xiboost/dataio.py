@@ -12,7 +12,7 @@ import warnings
 from pathlib import Path
 from typing import Optional, Union
 
-from .errors import ParseError, SizeError
+from .errors import ConfigError, ParseError, SizeError
 from .ranks import Sample
 from .simulation import StudyReport
 
@@ -272,6 +272,8 @@ def format_report(report: StudyReport, path=None, fmt: str = None) -> str:
     """Serialize as `fmt` ("csv" or "json"), else as csv for a .csv `path`, else json."""
     if fmt is None:
         fmt = "csv" if path is not None and Path(path).suffix.lower() == ".csv" else "json"
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"report format must be 'csv' or 'json', got {fmt!r}")
     return report_to_csv(report) if fmt == "csv" else report_to_json(report)
 
 

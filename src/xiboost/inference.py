@@ -304,8 +304,8 @@ def permutation_test_fast_path_equivalence(r: Sequence[int], M: int) -> tuple[fl
     sample (x_i = i, y_i = r_i) and runs the full coefficient path. The two
     must agree bit-exactly.
     """
-    arr = np.asarray(r, dtype=np.int64)
-    a = replicate_statistic_from_permutation(arr, M)
+    arr = np.asarray(r)
+    a = replicate_statistic_from_permutation(arr, M)  # checks that r is a rank permutation
     synthetic = Sample(np.arange(1, arr.size + 1, dtype=np.float64),
                        arr.astype(np.float64))
     b = xi_nm(synthetic, M).value

@@ -301,9 +301,9 @@ def validate_grid(name: str, values, rule) -> tuple:
 
 
 def is_rank_permutation(r: np.ndarray) -> bool:
-    """True when r holds each of 1..n exactly once."""
+    """True when r holds each of 1..n exactly once, as real numbers."""
     arr = np.asarray(r)
-    if arr.ndim != 1 or arr.size == 0:
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind in "cUS":  # complex, str, bytes
         return False
     if arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all():  # 1.5 is no rank
         return False

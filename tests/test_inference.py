@@ -417,3 +417,23 @@ class TestFastPathEquivalence:
     def test_replicate_statistic_validates(self):
         with pytest.raises(SizeError):
             replicate_statistic_from_permutation([1, 1, 2], 1)
+        with pytest.raises(SizeError):  # not truncated to the ranks [1, 2]
+            permutation_test_fast_path_equivalence([1.5, 2], 1)
+
+    @pytest.mark.parametrize("r", [[1 + 1j, 2], [2 + 0j, 1], ["2", "1"], [b"1", b"2"],
+                                   np.array(["1", "2"])], ids=repr)
+    @pytest.mark.parametrize("entry", [
+        lambda r: coefficients.xi_nm_from_ranks(r, None, 1),
+        lambda r: replicate_statistic_from_permutation(r, 1),
+        lambda r: permutation_test_fast_path_equivalence(r, 1),
+    ], ids=["xi_nm_from_ranks", "replicate_statistic", "fast_path_equivalence"])
+    def test_non_real_ranks_raise(self, entry, r):
+        with pytest.raises(SizeError, match=r"^r must be a permutation of 1\.\.n$"):
+            entry(r)
+
+    @pytest.mark.parametrize("r", [[2, 1, 3], [2.0, 1.0, 3.0], np.array([2, 1, 3], np.int16),
+                                   np.array([2, 1, 3], dtype=object)], ids=repr)
+    def test_real_ranks_accepted(self, r):
+        expected = replicate_statistic_from_permutation([2, 1, 3], 1)
+        assert replicate_statistic_from_permutation(r, 1) == expected
+        assert permutation_test_fast_path_equivalence(r, 1) == (expected, expected)

@@ -1,5 +1,6 @@
 """Tests for dataset loading, report serialization, and the CLI surface."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import xiboost
-from xiboost import ParseError, SizeError, TieError, beta_of_gamma, xi_nm
-from xiboost.cli import cli_dispatch
+from xiboost import ConfigError, ParseError, SizeError, TieError, beta_of_gamma, xi_nm
+from xiboost.cli import build_parser, cli_dispatch
 from xiboost.dataio import (
+    format_report,
     load_sample,
     parse_config_file,
     report_from_csv,
@@ -116,6 +118,16 @@ class TestReportSerialization:
         write_report(report, tmp_path / "r.json")
         assert report_from_csv((tmp_path / "r.csv").read_text()) == report
         assert report_from_json((tmp_path / "r.json").read_text()) == report
+
+    @pytest.mark.parametrize("fmt", ["CSV", "xml", ""])
+    def test_unknown_format_raises(self, tmp_path, fmt):
+        report = self.make_report()
+        with pytest.raises(ConfigError, match=f"^report format must be 'csv' or 'json', "
+                                              f"got '{fmt}'$"):
+            format_report(report, None, fmt)
+        with pytest.raises(ConfigError, match="'csv' or 'json'"):
+            write_report(report, tmp_path / "r.csv", fmt=fmt)
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestConfigFile:
@@ -340,7 +352,7 @@ class TestCli:
     def test_power_study_config_defaults_and_precedence(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr("xiboost.cli.power_study", built.append)
-        monkeypatch.setattr("xiboost.cli._emit_report", lambda args, report: None)
+        monkeypatch.setattr("xiboost.dataio.format_report", lambda *args: "")
         assert cli_dispatch(["power-study", "--seed", "1"]) == 0
         cfg = tmp_path / "study.cfg"
         cfg.write_text("n-values=30,60\nM-values=2\nrho0-values=0,1.5\n"
@@ -503,6 +515,120 @@ class TestCli:
                            "-o", str(out)])
         assert rc == 0
         assert len(report_from_json(out.read_text()).rows) == 2
+
+
+# each subcommand's flags in declaration order: (option strings or the
+# positional's dest, default, choices, required)
+FLAG_SETS = {
+    "coef": [
+        (("--method",), None, ["xi-classic", "xi-nm", "xi-nm-reflected", "xi-pm",
+                               "symmetric-nn", "pearson", "hoeffding-d"], True),
+        (("-M", "--neighbors"), None, None, False),
+        (("--json",), False, None, False),
+        ("data", None, None, True),
+        (("--jitter",), False, None, False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "test": [
+        (("--method",), None,
+         ["xi-pm", "symmetric-nn", "hoeffding-d", "xi-asymptotic", "pearson"], True),
+        (("-M", "--neighbors"), None, None, False),
+        (("-B", "--replicates"), 10000, None, False),
+        (("--alpha",), 0.05, None, False),
+        (("--override-regime",), False, None, False),
+        (("--exit-on-reject",), False, None, False),
+        ("data", None, None, True),
+        (("--jitter",), False, None, False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "power-study": [
+        (("--n-values",), None, None, False),
+        (("--M-values",), None, None, False),
+        (("--rho0-values",), None, None, False),
+        (("--methods",), None, None, False),
+        (("--replicates",), None, None, False),
+        (("-B",), None, None, False),
+        (("--alpha",), None, None, False),
+        (("--workers",), None, None, False),
+        (("--config",), None, None, False),
+        (("--format",), None, ["json", "csv"], False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "null-calibration": [
+        (("--n",), None, None, True),
+        (("-M", "--neighbors"), None, None, True),
+        (("--replicates",), 20000, None, False),
+        (("--workers",), 1, None, False),
+        (("--format",), None, ["json", "csv"], False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "consistency": [
+        (("--rho-values",), None, None, True),
+        (("--n-values",), None, None, True),
+        (("--M-values",), None, None, True),
+        (("--replicates",), 300, None, False),
+        (("--workers",), 1, None, False),
+        (("--format",), None, ["json", "csv"], False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "timing": [
+        (("--n-values",), None, None, True),
+        (("--M-values",), None, None, True),
+        (("--repetitions",), 30, None, False),
+        (("--warmup",), 5, None, False),
+        (("--format",), None, ["json", "csv"], False),
+        (("--seed",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+    "boundary": [
+        (("--gamma-grid",), None, None, False),
+        (("--n",), None, None, False),
+        (("--M-values",), None, None, False),
+        (("-o", "--output"), None, None, False),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    """Declaring a shared flag in one place must not drop, add, reorder or
+    change any subcommand's flags."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: [(tuple(a.option_strings) or a.dest, a.default,
+                None if a.choices is None else list(a.choices), a.required)
+               for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+    assert flags == FLAG_SETS
+
+
+# the four study commands at tiny sizes
+STUDY_ARGV = {
+    "power-study": ["power-study", "--n-values", "20", "--M-values", "2", "--rho0-values", "0",
+                    "--replicates", "2", "-B", "9"],
+    "null-calibration": ["null-calibration", "--n", "20", "-M", "2", "--replicates", "4"],
+    "consistency": ["consistency", "--rho-values", "0.4", "--n-values", "20",
+                    "--M-values", "2", "--replicates", "2"],
+    "timing": ["timing", "--n-values", "20", "--M-values", "2", "--repetitions", "1",
+               "--warmup", "0"],
+}
+
+
+@pytest.mark.parametrize("command", list(STUDY_ARGV))
+def test_study_format_flag(command, tmp_path, capsys):
+    """--format csv writes csv to stdout, and --format json beats a .csv suffix."""
+    argv = STUDY_ARGV[command] + ["--seed", "3"]
+    assert cli_dispatch(argv + ["--format", "csv"]) == 0
+    report = report_from_csv(capsys.readouterr().out)
+    assert report.rows and report.kind == command.replace("-study", "")
+    out = tmp_path / "r.csv"
+    assert cli_dispatch(argv + ["--format", "json", "-o", str(out)]) == 0
+    assert report_from_json(out.read_text()).kind == report.kind
 
 
 @pytest.mark.parametrize("module", ["xiboost", "xiboost.cli"])
