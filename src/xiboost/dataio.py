@@ -7,7 +7,9 @@ significant digits and a decimal marker so numeric values re-parse exactly.
 
 from __future__ import annotations
 
+import codecs
 import json
+import re
 import warnings
 from pathlib import Path
 from typing import Optional, Union
@@ -18,15 +20,9 @@ from .simulation import StudyReport
 
 import numpy as np
 
-# Line breaks that str.splitlines honours and np.loadtxt does not: text holding
-# one of them is left to the line scanner.
-_SPLITLINES_ONLY_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # np.loadtxt decompresses a file whose name ends in one of these; the line
 # scanner reads every file as text.
 _LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# Characters the pre-scan of load_sample reads at a time, so that its memory
-# stays near one chunk whatever the size of the file.
-_SCAN_CHUNK = 2 ** 20
 
 
 def _parse_float(token: str) -> float:
@@ -49,21 +45,27 @@ def _head(line: str) -> tuple[str, bool]:
 
 
 def _read_text(path: Union[str, Path]) -> str:
-    """The UTF-8 text of `path`, with each "\\r\\n" and "\\r" read as "\\n" as
-    ``open`` reads text. A byte that is not UTF-8 raises :class:`ParseError`
-    naming its line and, counted in characters, its column."""
+    """The text of `path` under :func:`load_sample`'s encoding and line rule.
+    A byte that is not UTF-8 raises :class:`ParseError` naming its line and,
+    counted in characters after any byte order mark, its column."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        head = (data[: exc.start].decode("utf-8") + "x").splitlines()
-        raise ParseError(len(head), len(head[-1]),
+        data = data.removeprefix(codecs.BOM_UTF8)  # exc.start counts bytes after the mark
+        head = re.split("\r\n?|\n", data[: exc.start].decode("utf-8"))
+        raise ParseError(len(head), len(head[-1]) + 1,
                          f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def load_sample(path: Union[str, Path]) -> Sample:
     """Read a two-column numeric file into a Sample.
+
+    The file is UTF-8, less any leading byte order mark. A line ends at
+    "\\n" once each "\\r\\n" and "\\r" is read as "\\n", as text-mode ``open``
+    and ``np.loadtxt`` read lines. Other breaks of ``str.splitlines``, such
+    as "\\f" or U+2028, are ordinary characters: whitespace at a field's edge.
 
     The delimiter (comma or tab) is taken from the first nonblank line; that
     line is treated as a header when none of its fields parse as numbers.
@@ -74,16 +76,12 @@ def load_sample(path: Union[str, Path]) -> Sample:
     The rows after the header are parsed in one vectorized ``np.loadtxt``
     pass. A line scanner reads the file instead whenever that pass fails or
     could read the text differently: a wrong shape, fewer than 2 rows, a
-    whitespace-only line, a line break only ``str.splitlines`` knows, a name
-    ``np.loadtxt`` would decompress, or a path that is not a regular file (a
-    pipe can be read only once). The scanner gives the same values and is
-    the one source of the :class:`ParseError` line and column and of the
-    :class:`SizeError`, so a malformed file is read twice. A file that is not
-    UTF-8 raises :class:`ParseError` at the line of its first bad byte.
-
-    The pre-scan that picks the delimiter, the header and the lines to skip
-    reads the file line by line up to its first nonblank line and then in
-    chunks of about a million characters; it never holds the whole text.
+    whitespace-only line, a name ``np.loadtxt`` would decompress, or a path
+    that is not a regular file (a pipe can be read only once). The scanner
+    gives the same values and is the one source of the :class:`ParseError`
+    line and column and of the :class:`SizeError`, so a malformed file is
+    read twice. A file that is not UTF-8 raises :class:`ParseError` at the
+    line of its first bad byte.
     """
     sample = _load_vectorized(path)
     return sample if sample is not None else _scan_sample(path)
@@ -102,8 +100,8 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
         # a header followed by blank lines only; the scanner raises SizeError
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            table = np.loadtxt(path, dtype=np.float64, comments=None,
-                               delimiter=delimiter, skiprows=skiprows, ndmin=2)
+            table = np.loadtxt(path, dtype=np.float64, comments=None, delimiter=delimiter,
+                               skiprows=skiprows, ndmin=2, encoding="utf-8-sig")
         except ValueError:
             return None
     if table.shape[1] != 2 or table.shape[0] < 2:
@@ -114,33 +112,20 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
 
 def _pre_scan(path: Path) -> Optional[tuple[str, int]]:
     """The delimiter and the count of lines before the first data row, read
-    from the text :func:`_read_text` would give: line by line up to the first
-    nonblank line, then in chunks of :data:`_SCAN_CHUNK` characters. None,
-    for the scanner to decide, when no "\n" ends a nonblank line, when the
-    text holds a splitlines-only break, or when a byte is not UTF-8."""
+    line by line through the first nonblank line only. None, for the scanner
+    to decide, when no line is nonblank or a byte read is not UTF-8."""
     blank_lines = 0
     try:
-        # text mode reads "\r\n" and "\r" as "\n", as _read_text does
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             for line in f:
-                if any(brk in line for brk in _SPLITLINES_ONLY_BREAKS):
-                    return None
                 if line.strip():
                     break
                 blank_lines += 1
             else:
                 return None
-            if not line.endswith("\n"):
-                return None  # one nonblank line holds at most one row
-            delimiter, header = _head(line.strip())
-            chunk = f.read(_SCAN_CHUNK)
-            while chunk:
-                if any(brk in chunk for brk in _SPLITLINES_ONLY_BREAKS):
-                    return None
-                del chunk  # so that one chunk, not two, is held while the next is read
-                chunk = f.read(_SCAN_CHUNK)
     except UnicodeDecodeError:
         return None  # the scanner names the line and column of the bad byte
+    delimiter, header = _head(line.strip())
     return delimiter, blank_lines + (1 if header else 0)
 
 
@@ -150,7 +135,7 @@ def _scan_sample(path: Union[str, Path]) -> Sample:
     xs: list[float] = []
     ys: list[float] = []
     delimiter = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -287,9 +272,10 @@ def write_report(report: StudyReport, path: Union[str, Path], fmt: str = None) -
 
 
 def parse_config_file(path: Union[str, Path]) -> dict:
-    """Read a UTF-8 key=value file mirroring CLI flags; '#' starts a comment."""
+    """Read a key=value file mirroring CLI flags, with :func:`load_sample`'s
+    encoding and line rule; '#' starts a comment."""
     out: dict = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -301,9 +301,18 @@ def validate_grid(name: str, values, rule) -> tuple:
 
 
 def is_rank_permutation(r: np.ndarray) -> bool:
-    """True when r holds each of 1..n exactly once, as real numbers."""
+    """True when r holds each of 1..n exactly once, as real numbers: a bool,
+    int, uint or float array, or an object array of real numbers. Complex,
+    text, bytes, datetime, timedelta and structured values are no ranks."""
     arr = np.asarray(r)
-    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind in "cUS":  # complex, str, bytes
+    if arr.ndim != 1 or arr.size == 0:
+        return False
+    if arr.dtype.kind == "O":
+        # in range before the cast, so neither a huge int nor a nan reaches it
+        if not all(isinstance(v, numbers.Real) and 1 <= v <= arr.size for v in arr):
+            return False
+        arr = arr.astype(np.float64)
+    elif arr.dtype.kind not in "biuf":
         return False
     if arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all():  # 1.5 is no rank
         return False

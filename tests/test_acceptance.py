@@ -2,7 +2,7 @@
 
 Run with `pytest -m acceptance -v -s`; `-m "not acceptance"` deselects it.
 The Monte Carlo criteria (05, 06, 07, 11) dominate the runtime; the whole
-suite takes about 75 seconds on a 2-vCPU host.
+suite takes about 78 seconds on a 2-vCPU Xeon host.
 """
 
 import itertools

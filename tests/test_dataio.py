@@ -6,14 +6,12 @@ two must agree: bit-identical coordinates, or the same exception type and
 message.
 """
 
+import io
 import os
-import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,9 +20,9 @@ from hypothesis import strategies as st
 
 import xiboost
 from xiboost import ParseError, SizeError, dataio
-from xiboost.dataio import (_head, _load_vectorized, _pre_scan, _read_text, _scan_sample,
-                            load_sample)
+from xiboost.dataio import _load_vectorized, _pre_scan, _scan_sample, load_sample
 
+# str.splitlines breaks at these; the line rule of load_sample does not
 SPLITLINES_ONLY = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 SEPARATORS = [",", "\t", ", "]
 ODD_TOKENS = ["nan", "inf", "-inf", "1_0", "\u0661", "1e400", "+.5", "#", '"1"', "", " 7 "]
@@ -51,24 +49,6 @@ def write(tmp_path, text, name="d.csv"):
     return p
 
 
-def whole_text_head(path):
-    """The delimiter and skiprows that a pre-scan holding the whole text
-    finds, or None: the reference for the chunked `_pre_scan`."""
-    try:
-        text = _read_text(path)
-    except ParseError:
-        return None
-    first = re.search(r"\S", text)
-    if first is None or any(brk in text for brk in SPLITLINES_ONLY):
-        return None
-    start = first.start()
-    end = text.find("\n", start)
-    if end < 0:
-        return None
-    delimiter, header = _head(text[start:end].strip())
-    return delimiter, text.count("\n", 0, end + 1 if header else start)
-
-
 def rows_text(count):
     """`count` clean comma rows: about 11 characters each for a count near 1e5."""
     return "".join(f"{i},{i}.5\n" for i in range(count))
@@ -77,9 +57,10 @@ def rows_text(count):
 @st.composite
 def data_files(draw):
     """File text: repr floats and odd tokens, comma/tab/", " separators, optional
-    headers, rows of 1-3 fields, blank and whitespace-only lines, and every line
-    break. A per-file rate sets how often a choice is odd, so clean files that
-    the vectorized pass reads are drawn as often as broken ones."""
+    headers, rows of 1-3 fields, blank and whitespace-only lines, every line
+    break and the characters only str.splitlines breaks at. A per-file rate
+    sets how often a choice is odd, so clean files that the vectorized pass
+    reads are drawn as often as broken ones."""
     rate = draw(st.sampled_from([0, 1, 4]))
 
     def odd():
@@ -106,23 +87,10 @@ def data_files(draw):
 
 
 class TestLoaderMatchesScanner:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=900, deadline=None)
     @given(text=data_files())
     def test_differential(self, tmp_path_factory, text):
-        p = write(tmp_path_factory.mktemp("fuzz"), text)
-        assert _pre_scan(p) == whole_text_head(p)
-        assert_same(p)
-
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
-    @settings(max_examples=150, deadline=None)
-    @given(text=data_files())
-    def test_differential_across_chunk_boundaries(self, tmp_path_factory, chunk, text):
-        # chunks of a few characters end inside "\r\n", a multi-byte
-        # character, a row and a run of blank lines
-        p = write(tmp_path_factory.mktemp("fuzz"), text)
-        with mock.patch.object(dataio, "_SCAN_CHUNK", chunk):
-            assert _pre_scan(p) == whole_text_head(p)
-            assert_same(p)
+        assert_same(write(tmp_path_factory.mktemp("fuzz"), text))
 
     def test_fast_path_taken_on_clean_files(self, tmp_path):
         for text in ["x,y\n1,2\n3,4\n", "\n\n 1 ,2\r\n3,4\r\n\n", "a\tb\n1\t2\n3\t4"]:
@@ -132,12 +100,16 @@ class TestLoaderMatchesScanner:
 
     @pytest.mark.parametrize("brk", SPLITLINES_ONLY)
     def test_splitlines_only_breaks(self, tmp_path, brk):
-        # loadtxt strips these as whitespace inside a field; the scanner ends the line
-        p = write(tmp_path, f"x,y\n1,2{brk}\n3,4\n5,6\n")
-        assert _load_vectorized(p) is None
+        # no line ends at them: between two numbers they make a third column
+        p = write(tmp_path, f"x,y\n5,6\n1,2{brk}3,4\n")
         assert_same(p)
-        q = write(tmp_path, f"1,2\n3,4{brk}5,6\n")
-        assert load_sample(q).y.tolist() == [2.0, 4.0, 6.0]
+        with pytest.raises(ParseError, match="^line 3, column 3: expected 2 columns, found 3$"):
+            load_sample(p)
+        # and at the edge of a field they are whitespace
+        q = write(tmp_path, f"1{brk},2\n{brk}3,4{brk}\n")
+        assert _load_vectorized(q) is not None
+        assert_same(q)
+        assert load_sample(q).x.tolist() == [1.0, 3.0]
 
     @pytest.mark.parametrize("text", [
         "x,y\n1,2\n   \n3,4\n",            # whitespace-only line
@@ -198,7 +170,9 @@ class TestLoaderMatchesScanner:
         (b"1,2\r\n3,4\r\n\xe9,6\r\n", 3, 1),
         (b"1,2\r3,4\r5,\x80\r", 3, 3),
         (b"\xc3\xa9,2\n3,4\n5,6\xc3", 3, 4),  # a valid two-byte character, then a cut one
-    ], ids=["lf", "only-byte", "crlf", "cr", "cut-sequence"])
+        (b"\xef\xbb\xbf1,\xff\n3,4\n", 1, 3),  # columns count from after a byte order mark
+        (b"\xef\xbb\xff", 1, 1),  # a cut byte order mark
+    ], ids=["lf", "only-byte", "crlf", "cr", "cut-sequence", "bom", "cut-bom"])
     def test_not_utf8_names_line_of_first_bad_byte(self, tmp_path, data, line, column):
         p = tmp_path / "d.csv"
         p.write_bytes(data)
@@ -207,70 +181,59 @@ class TestLoaderMatchesScanner:
             load_sample(p)
         assert (exc.value.line, exc.value.column) == (line, column)
 
-    def test_break_after_the_first_chunk(self, tmp_path):
-        head = "x,y\n" + rows_text(100_000)
-        assert len(head) > dataio._SCAN_CHUNK
-        assert _pre_scan(write(tmp_path, head + "7,8\n9,10\n")) == (",", 1)
-        p = write(tmp_path, head + "7,8\u20289,10\n")
-        assert _pre_scan(p) is None
+    def test_break_between_numbers_deep_in_the_file(self, tmp_path):
+        p = write(tmp_path, "x,y\n" + rows_text(100_000) + "7,8\u20289,10\n")
+        assert _pre_scan(p) == (",", 1)
         assert_same(p)
-        assert load_sample(p).y[-2:].tolist() == [8.0, 10.0]
+        with pytest.raises(ParseError) as exc:
+            load_sample(p)
+        assert str(exc.value) == "line 100002, column 3: expected 2 columns, found 3"
 
-    def test_bad_byte_after_the_first_chunk(self, tmp_path):
-        head = "x,y\n" + rows_text(100_000)
-        assert len(head) > dataio._SCAN_CHUNK
+    def test_bad_byte_deep_in_the_file(self, tmp_path):
         p = tmp_path / "d.csv"
-        p.write_bytes(head.encode("utf-8") + b"3,\xff4\n")
-        assert _pre_scan(p) is None
+        p.write_bytes(("x,y\n" + rows_text(100_000)).encode("utf-8") + b"3,\xff4\n")
+        assert _pre_scan(p) == (",", 1)  # np.loadtxt meets the byte and fails
         assert_same(p)
         with pytest.raises(ParseError) as exc:
             load_sample(p)
         assert str(exc.value) == "line 100002, column 3: byte 0xff is not UTF-8"
         assert (exc.value.line, exc.value.column) == (100_002, 3)
 
-    def test_byte_order_mark_is_kept(self, tmp_path):
-        # like _read_text, the pre-scan keeps a leading U+FEFF as a character
+    def test_byte_order_mark_is_dropped(self, tmp_path):
         p = write(tmp_path, "\ufeffx,y\n1,2\n3,4\n")
-        assert _pre_scan(p) == whole_text_head(p) == (",", 1)
+        assert _pre_scan(p) == (",", 1)
         assert_same(p)
         assert load_sample(p).x.tolist() == [1.0, 3.0]
-        q = write(tmp_path, "\ufeff1,2\n3,4\n")  # "2" parses, so no header
-        assert _pre_scan(q) == whole_text_head(q) == (",", 0)
+        q = write(tmp_path, "\ufeff1,2\r\n3,4\r\n")
+        assert _pre_scan(q) == (",", 0)
         assert_same(q)
-        with pytest.raises(ParseError, match="^line 1, column 1: not a number"):
-            load_sample(q)
+        assert load_sample(q).x.tolist() == [1.0, 3.0]
+        r = write(tmp_path, "1,2\n\ufeff3,4\n")  # only a leading mark is dropped
+        assert_same(r)
+        with pytest.raises(ParseError, match="^line 2, column 1: not a number"):
+            load_sample(r)
 
-    def test_blank_lines_longer_than_a_chunk(self, tmp_path):
-        blank = " \n\t\r\n\n\r" * (dataio._SCAN_CHUNK // 5)
-        assert len(blank) > dataio._SCAN_CHUNK
+    def test_blank_lines_longer_than_a_mebibyte(self, tmp_path):
+        blank = " \n\t\r\n\n\r" * (2 ** 20 // 5)
+        assert len(blank) > 2 ** 20
         p = write(tmp_path, blank + "x\ty\n1\t2\n3\t4\n")
-        assert _pre_scan(p) == whole_text_head(p) == ("\t", 4 * (dataio._SCAN_CHUNK // 5) + 1)
+        assert _pre_scan(p) == ("\t", 4 * (2 ** 20 // 5) + 1)
         assert_same(p)
         assert load_sample(p).y.tolist() == [2.0, 4.0]
 
-    def test_pre_scan_holds_chunks_not_the_file(self, tmp_path, monkeypatch):
-        """Until np.loadtxt is entered, traced memory on a 7.5 MiB file peaks
-        below 4 MiB: the pre-scan holds a chunk or two, never the file's bytes
-        or text."""
-        rows = np.random.default_rng(29).standard_normal((200_000, 2)).tolist()
-        p = write(tmp_path, "x,y\n" + "".join(f"{u!r},{v!r}\n" for u, v in rows))
-        assert p.stat().st_size >= 7 * 2 ** 20
-        peaks = []
-        loadtxt = np.loadtxt
+    def test_pre_scan_reads_through_the_first_nonblank_line(self, tmp_path, monkeypatch):
+        head = "\n \t\nx,y\n"
+        stops = []
 
-        def spy(*args, **kwargs):
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-            return loadtxt(*args, **kwargs)
+        class Text(io.StringIO):
+            def close(self):
+                stops.append(self.tell())
+                super().close()
 
-        monkeypatch.setattr(dataio.np, "loadtxt", spy)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            s = load_sample(p)
-        finally:
-            tracemalloc.stop()
-        assert s.n == 200_000 and len(peaks) == 1
-        assert peaks[0] < 4 * 2 ** 20, peaks[0] / 2 ** 20
+        monkeypatch.setattr(dataio, "open", lambda *args, **kwargs: Text(head + rows_text(1000)),
+                            raising=False)
+        assert _pre_scan(tmp_path / "unread.csv") == (",", 3)
+        assert stops == [len(head)]
 
     def test_columns_are_contiguous(self, tmp_path):
         s = load_sample(write(tmp_path, "1,2\n3,4\n5,6\n"))

@@ -420,8 +420,13 @@ class TestFastPathEquivalence:
         with pytest.raises(SizeError):  # not truncated to the ranks [1, 2]
             permutation_test_fast_path_equivalence([1.5, 2], 1)
 
-    @pytest.mark.parametrize("r", [[1 + 1j, 2], [2 + 0j, 1], ["2", "1"], [b"1", b"2"],
-                                   np.array(["1", "2"])], ids=repr)
+    @pytest.mark.parametrize("r", [
+        [1 + 1j, 2], [2 + 0j, 1], ["2", "1"], [b"1", b"2"], np.array(["1", "2"]),
+        np.array(["2", "1"], dtype=object), [None, 1], np.array([2 + 0j, 1], dtype=object),
+        np.array(["2001-01-02", "2001-01-01"], dtype="M8[D]"),
+        np.array([(2,), (1,)], dtype=[("r", "i8")]),
+        np.array([2, 1], dtype="m8[D]"),  # a duration is no rank
+    ], ids=repr)
     @pytest.mark.parametrize("entry", [
         lambda r: coefficients.xi_nm_from_ranks(r, None, 1),
         lambda r: replicate_statistic_from_permutation(r, 1),

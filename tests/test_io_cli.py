@@ -329,10 +329,11 @@ class TestCli:
         n, M, z = lines[1].split(",")
         assert float(z) == pytest.approx(10000 ** -0.25)
 
-    def test_power_study_cli_with_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "byte-order-mark"])
+    def test_power_study_cli_with_config(self, tmp_path, capsys, mark):
         cfg = tmp_path / "study.cfg"
-        cfg.write_text("n-values=30\nm-values=2\nrho0-values=0\nmethods=xi-pm\n"
-                       "replicates=4\nb=9\nseed=5\n")
+        cfg.write_text(mark + "n-values=30\nm-values=2\nrho0-values=0\nmethods=xi-pm\n"
+                       "replicates=4\nb=9\nseed=5\n", encoding="utf-8")
         out = tmp_path / "report.json"
         rc = cli_dispatch(["power-study", "--config", str(cfg), "-o", str(out)])
         assert rc == 0
