@@ -327,8 +327,10 @@ def pearson_r(s: Sample) -> CoefficientValue:
     return CoefficientValue(value=value, method=Method.PEARSON, n=s.n)
 
 
-# Largest n at which batch_hoeffding_numerators sums in int64; see its docstring.
-HOEFFDING_INT64_MAX_N = 7041
+# Positions per float block of batch_hoeffding_numerators' estimate, and the
+# largest n at which its two words give the exact numerator; see its docstring.
+_HOEFFDING_BLOCK = 1024
+HOEFFDING_MAX_N = 1_940_492
 
 
 def _earlier_smaller_counts(rows: np.ndarray) -> np.ndarray:
@@ -370,38 +372,68 @@ def _earlier_smaller_counts(rows: np.ndarray) -> np.ndarray:
 
 
 def batch_hoeffding_numerators(rows: np.ndarray) -> np.ndarray:
-    """Row-wise exact numerator A - 2(n-2)B + (n-2)(n-3)C of Hoeffding's D
-    for y-rank rows in ascending-x order, so the x-rank of position i is
-    a = i+1. With b the y-rank and c the count of earlier, smaller entries:
-    A = sum (a-1)(a-2)(b-1)(b-2), B = sum (a-2)(b-2)c, C = sum c(c-1).
+    """Row-wise exact numerator N = A - 2(n-2)B + (n-2)(n-3)C of Hoeffding's
+    D, as an object array of Python ints, for y-rank rows in ascending-x
+    order, so the x-rank of position i is a = i+1. With b the y-rank and c
+    the count of earlier, smaller entries: A = sum (a-1)(a-2)(b-1)(b-2),
+    B = sum (a-2)(b-2)c, C = sum c(c-1). Rows longer than HOEFFDING_MAX_N
+    = 1,940,492 raise SizeError.
 
-    Exactness: every term of A, B and C is >= 0 (c = 0 when a = 1 or b = 1)
-    and below n^4, so each partial sum is at most its row total. Each total is at most its
-    value on the identity row (b = a, c = a-1): for A by the rearrangement
-    inequality on the nondecreasing (a-1)(a-2) and (b-1)(b-2); for C since
-    c <= a-1; for B since c <= a-1 bounds a term by (a-1)(a-2)max(b-2, 0),
-    again a product of nondecreasing factors. The result is evaluated as
-    (A + (n-2)(n-3)C) - 2(n-2)B, so int64 is exact when the identity row's
-    A + (n-2)(n-3)C and 2(n-2)B are below 2^63. That holds up to
-    n = HOEFFDING_INT64_MAX_N = 7041 and fails at 7042; above it the same
-    sums run on Python ints (an object array).
+    Two words. Each sum is a dot product of a factor of b and c with a
+    weight of a, all below n^2 < 2^53 in magnitude, so int64 and float64
+    hold them exactly. The low word evaluates N in uint64, which wraps, so
+    it is N mod 2^64. The estimate e evaluates N in float64 with each dot
+    product taken over blocks of 1024 positions and the block sums added in
+    turn. Then N = int(e) + d, d the representative of (low - int(e)) mod
+    2^64 in [-2^63, 2^63), whenever |N - int(e)| < 2^63.
+
+    Bound. Every term of A, B and C is >= 0 (c = 0 when a = 1 or b = 1),
+    and each total is at most its value on the identity row (b = a,
+    c = a-1): for A by the rearrangement inequality on the nondecreasing
+    (a-1)(a-2) and (b-1)(b-2); for C since c <= a-1; for B since c <= a-1
+    bounds a term by (a-1)(a-2)max(b-2, 0), again a product of
+    nondecreasing factors. So S = A + (n-2)(n-3)C + 2(n-2)B is at most
+    S_id(n) = 4 C(n,5) + 8(n-2)(3 C(n,4) + C(n,3)). Whatever order a dot
+    product adds in, each of the 3n signed terms of N reaches e through at
+    most K = 1026 + ceil(n/1024) roundings: its product, 1023 additions in
+    its block, ceil(n/1024) - 1 additions of block sums, and at most three
+    operations that scale and add A, B and C. So |e - N| <= g_K S, with
+    g_K = Ku/(1 - Ku) and u = 2^-53 (Higham, Accuracy and Stability of
+    Numerical Algorithms, Lemma 3.1), and |N - int(e)| < g_K S_id(n) + 1,
+    which is at most 2^63 up to n = HOEFFDING_MAX_N and not one past it.
     """
-    n = rows.shape[1]
-    dt = np.int64 if n <= HOEFFDING_INT64_MAX_N else object
-    c = _earlier_smaller_counts(rows).astype(dt)
-    a = np.arange(1, n + 1, dtype=np.int64).astype(dt)
-    b = rows.astype(dt)
-    A = ((b - 1) * (b - 2)) @ ((a - 1) * (a - 2))
-    B = ((b - 2) * c) @ (a - 2)
-    C = (c * (c - 1)).sum(axis=1)
-    return A + (n - 2) * (n - 3) * C - 2 * (n - 2) * B
+    k, n = rows.shape
+    if n > HOEFFDING_MAX_N:
+        raise SizeError(f"Hoeffding's D is exact for n <= {HOEFFDING_MAX_N}, got {n}")
+    c = _earlier_smaller_counts(rows)
+    a = np.arange(1, n + 1, dtype=np.int64)
+    low, estimate = np.zeros(k, dtype=np.uint64), np.zeros(k)
+    # A, C and B as (the two operands of the factor, weight, scale), so one
+    # n-wide int64 factor is alive at a time
+    for x, y, weight, scale in ((rows - 1, rows - 2, (a - 1) * (a - 2), 1),
+                                (c, c - 1, np.ones(n, dtype=np.int64), (n - 2) * (n - 3)),
+                                (rows - 2, c, a - 2, -2 * (n - 2))):
+        factor = np.multiply(x, y, dtype=np.int64)
+        with np.errstate(over="ignore"):
+            low += factor.view(np.uint64) @ weight.view(np.uint64) * np.uint64(scale % 2**64)
+        factor, weight = factor.astype(np.float64), weight.astype(np.float64)
+        estimate += scale * sum(factor[:, j:j + _HOEFFDING_BLOCK] @ weight[j:j + _HOEFFDING_BLOCK]
+                                for j in range(0, n, _HOEFFDING_BLOCK))
+    return np.array([e + (lo - e + 2**63) % 2**64 - 2**63
+                     for e, lo in zip(map(int, estimate.tolist()), low.tolist())], dtype=object)
 
 
 def hoeffding_numerator(rx: np.ndarray, ry: np.ndarray) -> int:
     """Exact integer numerator of the D statistic for x-ranks `rx` and
-    y-ranks `ry`; a one-row :func:`batch_hoeffding_numerators`."""
-    ry = np.asarray(ry)
-    return int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
+    y-ranks `ry`, two permutations of 1..n; a one-row
+    :func:`batch_hoeffding_numerators`."""
+    rx, ry = np.asarray(rx), np.asarray(ry)
+    for name, r in (("rx", rx), ("ry", ry)):
+        if not is_rank_permutation(r):
+            raise SizeError(f"{name} must be a permutation of 1..n")
+    if rx.size != ry.size:
+        raise SizeError(f"rx holds {rx.size} ranks but ry holds {ry.size}")
+    return int(batch_hoeffding_numerators(ry.astype(np.int64)[np.argsort(rx)][None])[0])
 
 
 def hoeffding_denominator(n: int) -> int:

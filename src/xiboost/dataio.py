@@ -2,12 +2,16 @@
 
 Datasets are two-column CSV (comma or tab, optional header). Reports round
 trip losslessly: JSON keeps native types, CSV writes floats with 17
-significant digits and a decimal marker so numeric values re-parse exactly.
+significant digits and a decimal marker so numeric values re-parse exactly,
+and quotes a text cell only where the csv module must. CSV cells are untyped,
+so text that reads as a number comes back as that number, and empty text as
+None.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import re
 import warnings
@@ -210,31 +214,42 @@ def report_from_json(text: str) -> StudyReport:
     )
 
 
+def _csv_record(cells: list) -> str:
+    """One CSV record, minimally quoted and ended by "\n". The writer quotes
+    a cell that holds a character of its line terminator, so it is given
+    "\r\n" to quote a cell holding "\r" as well as "\n"."""
+    import csv
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
 def report_to_csv(report: StudyReport) -> str:
-    lines = [f"# schema_version={report.schema_version}", f"# kind={report.kind}"]
-    for key, value in report.meta.items():
-        lines.append(f"# meta.{key}={_format_cell(value)}")
+    records = [[f"# schema_version={report.schema_version}"], [f"# kind={report.kind}"]]
+    records += [[f"# meta.{key}={_format_cell(value)}"] for key, value in report.meta.items()]
     if report.rows:
         columns = list(report.rows[0].keys())
-        lines.append(",".join(columns))
-        for row in report.rows:
-            lines.append(",".join(_format_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
+        records.append(columns)
+        records += [[_format_cell(row[c]) for c in columns] for row in report.rows]
+    return "".join(map(_csv_record, records))
 
 
 def report_from_csv(text: str) -> StudyReport:
+    import csv
+
     meta: dict = {}
     kind = ""
     schema_version = 1
     columns: list[str] = []
     rows: list[dict] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for cells in reader:
+        if not cells:
             continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            key, _, value = body.partition("=")
+        if not columns and cells[0].startswith("#"):
+            # a comment before the header; one that is not quoted may hold commas
+            key, _, value = ",".join(cells)[1:].partition("=")
             key = key.strip()
             if key == "schema_version":
                 schema_version = int(value)
@@ -243,12 +258,11 @@ def report_from_csv(text: str) -> StudyReport:
             elif key.startswith("meta."):
                 meta[key[5:]] = _parse_cell(value)
             continue
-        cells = line.split(",")
         if not columns:
             columns = cells
             continue
         if len(cells) != len(columns):
-            raise ParseError(lineno, len(cells), "row width does not match header")
+            raise ParseError(reader.line_num, len(cells), "row width does not match header")
         rows.append({c: _parse_cell(v) for c, v in zip(columns, cells)})
     return StudyReport(kind=kind, meta=meta, rows=rows, schema_version=schema_version)
 

@@ -36,7 +36,8 @@ from xiboost import (
     xi_pm,
 )
 from xiboost.coefficients import (
-    HOEFFDING_INT64_MAX_N,
+    _HOEFFDING_BLOCK,
+    HOEFFDING_MAX_N,
     METHODS,
     CoefficientValue,
     Method,
@@ -126,6 +127,20 @@ def hoeffding_brute(rx, ry):
     n = len(rx)
     c = [sum(rx[j] < rx[i] and ry[j] < ry[i] for j in range(n)) for i in range(n)]
     return hoeffding_from_counts(rx, ry, c)
+
+
+def earlier_smaller(row, block=512):
+    """c[i] = #{j < i : row[j] < row[i]} for a row of distinct values: the
+    sorted earlier blocks are searched, and each block is compared with
+    itself."""
+    c = np.empty(len(row), dtype=np.int64)
+    seen = row[:0]
+    for start in range(0, len(row), block):
+        part = row[start:start + block]
+        within = np.tril(part[None, :] < part[:, None], -1).sum(axis=1)
+        c[start:start + block] = np.searchsorted(seen, part) + within
+        seen = np.sort(np.concatenate([seen, part]))
+    return c
 
 
 def hoeffding_from_counts(rx, ry, c):
@@ -630,7 +645,7 @@ _HOEFFDING_SIZES = st.one_of(st.integers(5, 70),
 
 class TestHoeffdingKernel:
     """The merge-counting kernel against O(n^2) quadrant counts, and its
-    int64 / Python-int split at HOEFFDING_INT64_MAX_N."""
+    two-word sums against Python ints up to HOEFFDING_MAX_N."""
 
     @given(n=_HOEFFDING_SIZES, k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
            dtype=st.sampled_from([np.int32, np.int64]))
@@ -642,36 +657,76 @@ class TestHoeffdingKernel:
         got = batch_hoeffding_numerators(rows)
         assert [int(v) for v in got] == [hoeffding_brute(identity, row)
                                          for row in rows.tolist()]
+        assert _earlier_smaller_counts(rows).tolist() == [earlier_smaller(row, block=7).tolist()
+                                                          for row in rows]
         rx, ry = rng.permutation(n) + 1, rng.permutation(n) + 1
         want = int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
         assert hoeffding_numerator(rx, ry) == want == hoeffding_brute(rx.tolist(), ry.tolist())
 
-    def test_int64_bound_is_tight(self):
-        """The identity row maximizes A, B and C; its A + (n-2)(n-3)C and
-        2(n-2)B fit in int64 at the bound and not one past it."""
-        def fits(n):
+    @pytest.mark.parametrize("ry", [[1, 2, 2, 4, 5], [0, 1, 2, 3, 4], [1.5, 2, 3, 4, 5],
+                                    [1, 2, 3, 4, 9]],
+                             ids=["repeat", "zero-based", "fraction", "out-of-range"])
+    def test_numerator_rejects_non_ranks(self, ry):
+        ranks = [1, 2, 3, 4, 5]
+        with pytest.raises(SizeError, match=r"^ry must be a permutation of 1\.\.n$"):
+            hoeffding_numerator(ranks, ry)
+        with pytest.raises(SizeError, match=r"^rx must be a permutation of 1\.\.n$"):
+            hoeffding_numerator(ry, ranks)
+
+    def test_numerator_lengths_must_match(self):
+        with pytest.raises(SizeError, match="^rx holds 5 ranks but ry holds 4$"):
+            hoeffding_numerator([1, 2, 3, 4, 5], [4, 3, 2, 1])
+
+    def test_bound_holds_up_to_max_n(self):
+        """The docstring's bound g_K S_id(n) + 1 <= 2**63 holds at HOEFFDING_MAX_N
+        and fails one past it, with S_id in closed form."""
+        def s_id(n):
+            return 4 * math.comb(n, 5) + 8 * (n - 2) * (3 * math.comb(n, 4) + math.comb(n, 3))
+
+        def holds(n):
+            K = _HOEFFDING_BLOCK + 2 + -(-n // _HOEFFDING_BLOCK)
+            return Fraction(K, 2**53 - K) * s_id(n) + 1 <= 2**63
+
+        for n in range(2, 40):  # the identity row's A + (n-2)(n-3)C + 2(n-2)B
             A = sum(((i - 1) * (i - 2)) ** 2 for i in range(1, n + 1))
             B = sum((i - 1) * (i - 2) ** 2 for i in range(1, n + 1))
             C = sum((i - 1) * (i - 2) for i in range(1, n + 1))
-            return max(A + (n - 2) * (n - 3) * C, 2 * (n - 2) * B) < 2**63
+            assert s_id(n) == A + (n - 2) * (n - 3) * C + 2 * (n - 2) * B
+        assert holds(HOEFFDING_MAX_N) and not holds(HOEFFDING_MAX_N + 1)
 
-        assert fits(HOEFFDING_INT64_MAX_N) and not fits(HOEFFDING_INT64_MAX_N + 1)
+    def test_size_error_past_max_n(self):
+        rows = np.zeros((1, HOEFFDING_MAX_N + 1), dtype=np.int32)  # refused before counting
+        with pytest.raises(SizeError, match=f"^Hoeffding's D is exact for n <= {HOEFFDING_MAX_N}, "
+                                            f"got {HOEFFDING_MAX_N + 1}$"):
+            batch_hoeffding_numerators(rows)
 
-    @pytest.mark.parametrize("n", [HOEFFDING_INT64_MAX_N, HOEFFDING_INT64_MAX_N + 1])
+    @pytest.mark.parametrize("n, dtype", [(7041, np.int16), (7042, np.int16), (12259, np.int16),
+                                          (12260, np.int16), (40000, np.int32)])
+    def test_exact_against_python_ints(self, n, dtype):
+        """Around 7041, where the identity row's sums stop fitting in int64,
+        and 12260, where its N first reaches 2**63, so that the low word alone
+        wraps; and on int32 rows. The identity and the reversal give
+        N = 4 C(n,5), where D = 1/30."""
+        assert 4 * math.comb(12259, 5) < 2**63 <= 4 * math.comb(12260, 5)
+        rows = kernel_cases(derive_rng(24, n), n, 5, dtype)
+        got = batch_hoeffding_numerators(rows)
+        assert got.dtype == object and {type(v) for v in got} == {int}
+        a = list(range(1, n + 1))
+        assert got.tolist() == [
+            hoeffding_from_counts(a, row.tolist(), earlier_smaller(row).tolist()) for row in rows]
+        assert got[0] == got[1] == 4 * math.comb(n, 5)
+
+    @pytest.mark.parametrize("n", [1_000_000, HOEFFDING_MAX_N])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_exact_on_both_sides_of_the_bound(self, n, reverse):
+    def test_exact_at_large_n(self, n, reverse):
+        """The identity and the reversal, N = 4 C(n,5), up to the bound."""
         row = np.arange(n, 0, -1) if reverse else np.arange(1, n + 1)
-        counts = _earlier_smaller_counts(row[None])[0]
-        assert counts.tolist() == ([0] * n if reverse else list(range(n)))
-        got = batch_hoeffding_numerators(row[None])
-        assert got.dtype == (np.int64 if n <= HOEFFDING_INT64_MAX_N else object)
-        assert int(got[0]) == hoeffding_from_counts(list(range(1, n + 1)), row.tolist(),
-                                                    counts.tolist())
+        assert batch_hoeffding_numerators(row[None].astype(np.int32))[0] == 4 * math.comb(n, 5)
 
     def test_d_divides_the_exact_numerator(self):
-        """At the bound the denominator exceeds 2**53, so a float-converted
-        numerator would round twice."""
-        n = HOEFFDING_INT64_MAX_N
+        """Here the denominator exceeds 2**53, so a float-converted one would
+        round before the division; the exact ints divide in one rounding."""
+        n = 12260
         rng = derive_rng(23)
         for _ in range(10):
             s = random_sample(rng, n)

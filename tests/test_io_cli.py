@@ -9,11 +9,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xiboost
 from xiboost import ConfigError, ParseError, SizeError, TieError, beta_of_gamma, xi_nm
 from xiboost.cli import build_parser, cli_dispatch
 from xiboost.dataio import (
+    _parse_cell,
     format_report,
     load_sample,
     parse_config_file,
@@ -100,6 +103,28 @@ class TestReportSerialization:
 
     def test_csv_round_trip(self):
         report = self.make_report()
+        assert report_from_csv(report_to_csv(report)) == report
+
+    def test_csv_bytes(self):
+        assert report_to_csv(self.make_report()) == (
+            "# schema_version=1\n# kind=power\n# meta.B=999\n# meta.alpha=0.050000000000000003\n"
+            "# meta.master_seed=42\n# meta.rho_rule=rho0/sqrt(n)\n"
+            "method,n,M,rho0,rejection_frequency,replicates\n"
+            "xi-pm,1000,20,5.0,0.85100000000000009,500\n"
+            "pearson,1000,,0.0,1.0,500\n")
+
+    @given(kind=st.text(),
+           cells=st.lists(st.text().filter(lambda t: isinstance(_parse_cell(t), str)),
+                          min_size=3, max_size=3))
+    @example(kind="power", cells=["x,y", "x\ny", "x\u2028y"])
+    @example(kind="trail ", cells=['say "hi"', " lead", "x\ry"])
+    @example(kind="#x", cells=["a=b", "#x", "\x00"])
+    @settings(max_examples=300, deadline=None)
+    def test_csv_round_trip_of_any_text(self, kind, cells):
+        """Any text that _parse_cell keeps as text; the untyped cells cannot
+        tell the text "1" from the number 1."""
+        report = StudyReport(kind=kind, meta={"note": cells[0]},
+                             rows=[{"method": cells[1], "n": 10}, {"method": cells[2], "n": None}])
         assert report_from_csv(report_to_csv(report)) == report
 
     def test_csv_row_width_must_match_header(self):
