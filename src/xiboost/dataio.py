@@ -1,22 +1,22 @@
 """File ingestion and report serialization.
 
-Datasets are two-column CSV (comma or tab, optional header). Reports round
-trip losslessly: JSON keeps native types, CSV writes floats with 17
-significant digits and a decimal marker so numeric values re-parse exactly,
-and quotes a text cell only where the csv module must. CSV cells are untyped,
-so text that reads as a number comes back as that number, and empty text as
-None.
+Datasets are two-column CSV (comma or tab, optional header). Data and config
+files are read line by line through one stream, `_lines`; none is held whole.
+Reports round trip losslessly: JSON keeps native types, CSV writes floats
+with 17 significant digits and a decimal marker so numeric values re-parse
+exactly, and quotes a text cell only where the csv module must. CSV cells
+are untyped, so text that reads as a number comes back as that number, and
+empty text as None.
 """
 
 from __future__ import annotations
 
-import codecs
 import io
 import json
-import re
 import warnings
+from array import array
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import ConfigError, ParseError, SizeError
 from .ranks import Sample
@@ -29,13 +29,9 @@ import numpy as np
 _LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _parse_float(token: str) -> float:
-    return float(token.strip())
-
-
 def _parses(token: str) -> bool:
     try:
-        _parse_float(token)
+        float(token)
     except ValueError:
         return False
     return True
@@ -48,28 +44,29 @@ def _head(line: str) -> tuple[str, bool]:
     return delimiter, not any(_parses(f) for f in line.split(delimiter))
 
 
-def _read_text(path: Union[str, Path]) -> str:
-    """The text of `path` under :func:`load_sample`'s encoding and line rule.
-    A byte that is not UTF-8 raises :class:`ParseError` naming its line and,
-    counted in characters after any byte order mark, its column."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        data = data.removeprefix(codecs.BOM_UTF8)  # exc.start counts bytes after the mark
-        head = re.split("\r\n?|\n", data[: exc.start].decode("utf-8"))
-        raise ParseError(len(head), len(head[-1]) + 1,
-                         f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
+    """The 1-based number and the stripped text of each line of `path`, read
+    in the text mode ``np.loadtxt(path)`` reads in: UTF-8 less a leading byte
+    order mark, a line ending at "\\n", "\\r\\n" or "\\r". A byte that is not
+    UTF-8 raises :class:`ParseError` naming its line and, counted in
+    characters after any byte order mark, its column."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():  # surrogateescape maps byte b to U+DC00 + b
+                bad = next((i for i, ch in enumerate(line) if "\udc80" <= ch <= "\udcff"), None)
+                if bad is not None:
+                    raise ParseError(lineno, bad + 1,
+                                     f"byte 0x{ord(line[bad]) - 0xdc00:02x} is not UTF-8")
+            yield lineno, line.strip()
 
 
 def load_sample(path: Union[str, Path]) -> Sample:
     """Read a two-column numeric file into a Sample.
 
     The file is UTF-8, less any leading byte order mark. A line ends at
-    "\\n" once each "\\r\\n" and "\\r" is read as "\\n", as text-mode ``open``
-    and ``np.loadtxt`` read lines. Other breaks of ``str.splitlines``, such
-    as "\\f" or U+2028, are ordinary characters: whitespace at a field's edge.
+    "\\n", "\\r\\n" or "\\r", as text-mode ``open`` and ``np.loadtxt``
+    read lines. Other breaks of ``str.splitlines``, such as "\\f" or U+2028,
+    are ordinary characters: whitespace at a field's edge.
 
     The delimiter (comma or tab) is taken from the first nonblank line; that
     line is treated as a header when none of its fields parse as numbers.
@@ -77,22 +74,37 @@ def load_sample(path: Union[str, Path]) -> Sample:
     tie, naming the coordinate and the two lowest 0-based data rows, while
     Pearson's r accepts it.
 
-    The rows after the header are parsed in one vectorized ``np.loadtxt``
-    pass. A line scanner reads the file instead whenever that pass fails or
-    could read the text differently: a wrong shape, fewer than 2 rows, a
-    whitespace-only line, a name ``np.loadtxt`` would decompress, or a path
-    that is not a regular file (a pipe can be read only once). The scanner
-    gives the same values and is the one source of the :class:`ParseError`
-    line and column and of the :class:`SizeError`, so a malformed file is
-    read twice. A file that is not UTF-8 raises :class:`ParseError` at the
-    line of its first bad byte.
+    The rows after the header are parsed by ``np.loadtxt`` over the file,
+    or, where it refuses the file (a whitespace-only line, say), over its
+    stripped nonblank lines. A line scanner reads the file instead whenever
+    both fail or could read the text differently: a wrong shape, fewer than
+    2 rows, a name ``np.loadtxt`` would decompress, or a path that is not a
+    regular file (a pipe can be read only once). The scanner gives the same
+    values and is the one source of the :class:`ParseError` line and column
+    and of the :class:`SizeError`. A file that is not UTF-8 raises
+    :class:`ParseError` at the line of its first bad byte, wherever a format
+    error lies.
     """
     sample = _load_vectorized(path)
     return sample if sample is not None else _scan_sample(path)
 
 
+def _loadtxt(source, delimiter: str, skiprows: int) -> Optional[np.ndarray]:
+    """The rows of `source` from one ``np.loadtxt`` pass, or None where it
+    refuses them or the line stream meets a bad byte; the scanner names it."""
+    with warnings.catch_warnings():
+        # a header followed by blank lines only; the scanner raises SizeError
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(source, dtype=np.float64, comments=None, delimiter=delimiter,
+                              skiprows=skiprows, ndmin=2, encoding="utf-8-sig")
+        except (ValueError, ParseError):
+            return None
+
+
 def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
-    """The sample from one ``np.loadtxt`` pass, or None where the scanner must decide."""
+    """The sample from ``np.loadtxt`` over the file, else over its stripped
+    nonblank lines, or None where the scanner must decide."""
     path = Path(path)
     if not path.is_file() or path.suffix in _LOADTXT_DECOMPRESSED:
         return None  # a pipe cannot be read twice
@@ -100,15 +112,11 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
     if head is None:
         return None
     delimiter, skiprows = head
-    with warnings.catch_warnings():
-        # a header followed by blank lines only; the scanner raises SizeError
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            table = np.loadtxt(path, dtype=np.float64, comments=None, delimiter=delimiter,
-                               skiprows=skiprows, ndmin=2, encoding="utf-8-sig")
-        except ValueError:
-            return None
-    if table.shape[1] != 2 or table.shape[0] < 2:
+    table = _loadtxt(path, delimiter, skiprows)
+    if table is None:
+        rows = (line for lineno, line in _lines(path) if line and lineno > skiprows)
+        table = _loadtxt(rows, delimiter, 0)
+    if table is None or table.shape[1] != 2 or table.shape[0] < 2:
         return None
     x, y = table.T.copy()
     return Sample(x, y)
@@ -116,51 +124,44 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
 
 def _pre_scan(path: Path) -> Optional[tuple[str, int]]:
     """The delimiter and the count of lines before the first data row, read
-    line by line through the first nonblank line only. None, for the scanner
-    to decide, when no line is nonblank or a byte read is not UTF-8."""
-    blank_lines = 0
+    through the first nonblank line only. None, for the scanner to decide,
+    when no line is nonblank or a byte read is not UTF-8."""
     try:
-        with open(path, encoding="utf-8-sig") as f:
-            for line in f:
-                if line.strip():
-                    break
-                blank_lines += 1
-            else:
-                return None
-    except UnicodeDecodeError:
-        return None  # the scanner names the line and column of the bad byte
-    delimiter, header = _head(line.strip())
-    return delimiter, blank_lines + (1 if header else 0)
+        lineno, line = next((lineno, line) for lineno, line in _lines(path) if line)
+    except (StopIteration, ParseError):
+        return None  # the scanner names the line and column of a bad byte
+    delimiter, header = _head(line)
+    return delimiter, lineno - 1 + header
 
 
 def _scan_sample(path: Union[str, Path]) -> Sample:
     """Line-by-line reading of :func:`load_sample`'s format, naming the first bad cell."""
-    text = _read_text(path)
-    xs: list[float] = []
-    ys: list[float] = []
+    xs, ys = array("d"), array("d")
     delimiter = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if delimiter is None:
-            delimiter, header = _head(line)
-            if header:
+    lines = _lines(path)
+    try:
+        for lineno, line in lines:
+            if not line:
                 continue
-        fields = [f.strip() for f in line.split(delimiter)]
-        if len(fields) != 2:
-            raise ParseError(lineno, len(fields) if len(fields) < 2 else 3,
-                             f"expected 2 columns, found {len(fields)}")
-        row = []
-        for col, f in enumerate(fields, start=1):
-            if f == "":
-                raise ParseError(lineno, col, "missing value")
-            try:
-                row.append(_parse_float(f))
-            except ValueError:
-                raise ParseError(lineno, col, f"not a number: {f!r}") from None
-        xs.append(row[0])
-        ys.append(row[1])
+            if delimiter is None:
+                delimiter, header = _head(line)
+                if header:
+                    continue
+            fields = [f.strip() for f in line.split(delimiter)]
+            if len(fields) != 2:
+                raise ParseError(lineno, len(fields) if len(fields) < 2 else 3,
+                                 f"expected 2 columns, found {len(fields)}")
+            for col, (f, column) in enumerate(zip(fields, (xs, ys)), start=1):
+                if f == "":
+                    raise ParseError(lineno, col, "missing value")
+                try:
+                    column.append(float(f))
+                except ValueError:
+                    raise ParseError(lineno, col, f"not a number: {f!r}") from None
+    except ParseError:
+        for _ in lines:  # a bad byte later in the file is the error named
+            pass
+        raise
     if len(xs) < 2:
         raise SizeError(f"need at least 2 data rows, found {len(xs)}")
     return Sample(np.asarray(xs), np.asarray(ys))
@@ -252,7 +253,11 @@ def report_from_csv(text: str) -> StudyReport:
             key, _, value = ",".join(cells)[1:].partition("=")
             key = key.strip()
             if key == "schema_version":
-                schema_version = int(value)
+                try:
+                    schema_version = int(value)
+                except ValueError:
+                    raise ParseError(reader.line_num, 1,
+                                     f"schema_version is not an integer: {value!r}") from None
             elif key == "kind":
                 kind = value
             elif key.startswith("meta."):
@@ -289,12 +294,17 @@ def parse_config_file(path: Union[str, Path]) -> dict:
     """Read a key=value file mirroring CLI flags, with :func:`load_sample`'s
     encoding and line rule; '#' starts a comment."""
     out: dict = {}
-    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(lineno, 1, f"expected key=value, got {line!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+    lines = _lines(path)
+    try:
+        for lineno, line in lines:
+            if not line or line.startswith("#"):
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError(lineno, 1, f"expected key=value, got {line!r}")
+            out[key.strip().replace("-", "_")] = value.strip()
+    except ParseError:
+        for _ in lines:  # a bad byte later in the file is the error named
+            pass
+        raise
     return out

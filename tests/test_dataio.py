@@ -235,6 +235,38 @@ class TestLoaderMatchesScanner:
         assert _pre_scan(tmp_path / "unread.csv") == (",", 3)
         assert stops == [len(head)]
 
+    @pytest.mark.parametrize("text", ["x,y\n1,2\n   \n3,4\n", "1\t2\t\n3\t4\n"])
+    def test_stripped_lines_stay_on_numpy(self, tmp_path, monkeypatch, text):
+        # np.loadtxt(path) refuses these; its pass over the stripped lines reads them
+        p = write(tmp_path, text)
+        scanned = outcome(_scan_sample, p)
+
+        def refuse(path):
+            raise AssertionError("scanner reached")
+
+        monkeypatch.setattr(dataio, "_scan_sample", refuse)
+        assert outcome(load_sample, p) == scanned
+
+    def test_format_error_then_bad_byte_names_the_byte(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x,y\n1,oops\n3,4\n5,\xff6\n")
+        assert_same(p)
+        with pytest.raises(ParseError) as exc:
+            load_sample(p)
+        assert str(exc.value) == "line 4, column 3: byte 0xff is not UTF-8"
+
+    def test_no_file_is_read_whole(self, tmp_path, monkeypatch):
+        def whole(*args, **kwargs):
+            raise AssertionError("whole file read")
+
+        monkeypatch.setattr(Path, "read_bytes", whole)
+        monkeypatch.setattr(Path, "read_text", whole)
+        p = write(tmp_path, "x,y\n1,2\n3,oops\n")
+        with pytest.raises(ParseError, match="^line 3, column 2: not a number: 'oops'$"):
+            load_sample(p)
+        q = write(tmp_path, "x,y\n1,2\n   \n3,4\n")
+        assert load_sample(q).y.tolist() == [2.0, 4.0]
+
     def test_columns_are_contiguous(self, tmp_path):
         s = load_sample(write(tmp_path, "1,2\n3,4\n5,6\n"))
         assert s.x.flags.c_contiguous and s.y.flags.c_contiguous

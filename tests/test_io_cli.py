@@ -132,6 +132,12 @@ class TestReportSerialization:
         with pytest.raises(ParseError, match="row width does not match header"):
             report_from_csv(text)
 
+    def test_csv_schema_version_must_be_an_integer(self):
+        text = report_to_csv(self.make_report()).replace("schema_version=1", "schema_version=abc")
+        with pytest.raises(ParseError, match="^line 1, column 1: schema_version is not an "
+                                             "integer: 'abc'$"):
+            report_from_csv(text)
+
     def test_csv_17_digit_floats(self):
         text = report_to_csv(self.make_report())
         assert format(0.8510000000000001, ".17g") in text
@@ -174,6 +180,35 @@ class TestConfigFile:
         with pytest.raises(ParseError) as exc:
             parse_config_file(p)
         assert str(exc.value) == "line 3, column 12: byte 0xff is not UTF-8"
+
+    def test_bad_line_then_bad_byte_names_the_byte(self, tmp_path):
+        p = tmp_path / "study.cfg"
+        p.write_bytes(b"replicates\nn-values=1000\nmethods=\xffpm\n")
+        with pytest.raises(ParseError) as exc:
+            parse_config_file(p)
+        assert str(exc.value) == "line 3, column 9: byte 0xff is not UTF-8"
+
+    @pytest.mark.parametrize("text", [
+        "# grid\rn-values=1000,2000\rreplicates = 50\r",
+        "# grid\r\nn-values=1000,2000\r\n\r\nreplicates = 50\r\n",
+        "\ufeff# grid\nn-values=1000,2000\nreplicates = 50",
+    ], ids=["cr", "crlf", "bom"])
+    def test_line_ends_and_byte_order_mark(self, tmp_path, text):
+        p = tmp_path / "study.cfg"
+        p.write_bytes(text.encode("utf-8"))
+        assert parse_config_file(p) == {"n_values": "1000,2000", "replicates": "50"}
+
+    def test_not_read_whole(self, tmp_path, monkeypatch):
+        p = tmp_path / "study.cfg"
+        p.write_text("# grid\nn-values=1000\nreplicates\n")
+
+        def whole(*args, **kwargs):
+            raise AssertionError("whole file read")
+
+        monkeypatch.setattr(Path, "read_bytes", whole)
+        monkeypatch.setattr(Path, "read_text", whole)
+        with pytest.raises(ParseError, match="^line 3, column 1: expected key=value"):
+            parse_config_file(p)
 
 
 @pytest.fixture

@@ -139,6 +139,22 @@ class TestPowerStudy:
 
 
 class TestNullCalibrationStudy:
+    def test_ks_distance_loads_no_scipy_stats(self):
+        """The KS distance takes the normal CDF from scipy.special; a null
+        calibration in the normal-limit regime runs without loading scipy.stats."""
+        code = (
+            "import sys\n"
+            "from xiboost import null_calibration_study\n"
+            "row = null_calibration_study(50, 2, 20, seed=1).rows[0]\n"
+            "assert row['ks_distance'] is not None\n"
+            "assert 'scipy.special' in sys.modules\n"
+            "assert 'scipy.stats' not in sys.modules\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(xiboost.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_moments_close_to_theory(self):
         report = null_calibration_study(200, 5, 4000, seed=9)
         row = report.rows[0]
