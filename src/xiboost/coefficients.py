@@ -13,8 +13,13 @@ distances; symmetric-nn takes about M/2 full distances of it plus two
 windows M+1 wide, and the right-neighbor sums take min(M, n-1-M)
 distances. The loop takes a batch of narrow rows one cache-sized block of
 rows at a time and adds the minima of several distances in the row dtype
-before each int64 sum, which runs over long rows of the block; the one int64
-row takes one minimum and one int64 sum per distance.
+before each column sum, which runs over long rows of the block: int32
+partial sums for int16 rows, exact while fewer than 2^16 long rows are
+added, folded in int64; the one int64 row takes one minimum and one int64
+sum per distance. Hoeffding's D counts earlier, smaller entries by merge
+counting on one key per entry, below 2^(2L+1) for rows padded to 2^L
+entries: int32 keys up to n = 32768, int64 keys above. Its numerator is
+exact up to HOEFFDING_MAX_N.
 """
 
 from __future__ import annotations
@@ -146,12 +151,19 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     columns, and the m % r tail rows are added. On a (20000, 6) int16 block
     (n = 20000) this took 70-90 µs against 470 µs for the plain column sum
     (2-vCPU Xeon host).
+
+    The long rows of an int16 array are summed in int32 when there are
+    fewer than 2^16 of them, and the r partial rows folded in int64. Each
+    partial sum adds at most 2^16 - 1 entries of magnitude at most 2^15, so
+    it stays within int32, and every int16 rank batch (n <= 32767) meets
+    the bound. Other dtypes, and longer int16 arrays, sum in int64.
     """
     m, k = a.shape
     r = -(-_SUM_ROW_LENGTH // k)
     whole = m - m % r
-    out = a[:whole].reshape(whole // r, r * k).sum(axis=0, dtype=np.int64)
-    out = out.reshape(r, k).sum(axis=0)
+    partial = np.int32 if a.dtype == np.int16 and whole // r < 2 ** 16 else np.int64
+    out = a[:whole].reshape(whole // r, r * k).sum(axis=0, dtype=partial)
+    out = out.reshape(r, k).sum(axis=0, dtype=np.int64)
     out += a[whole:].sum(axis=0, dtype=np.int64)
     return out
 
@@ -333,6 +345,35 @@ _HOEFFDING_BLOCK = 1024
 HOEFFDING_MAX_N = 1_940_492
 
 
+def _exchange(a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """Compare-exchange: a, b = min(a, b), max(a, b), entry by entry."""
+    np.minimum(a, b, out=tmp)
+    np.maximum(a, b, out=b)
+    a[...] = tmp
+
+
+def _flag_right_runs(block: np.ndarray, pattern: np.ndarray, w: int, L: int) -> None:
+    """Before a merge of :func:`_earlier_smaller_counts`' 2w-blocks: each
+    right-run entry of the keys `block`, at column c of its block, takes the
+    flag and adds 2w - c to its count. `pattern` is a buffer with one entry
+    per column of `block`, broadcast over its rows."""
+    runs = pattern.reshape(-1, 2, w)
+    runs[:, 0] = 0
+    runs[:, 1] = np.arange(w + (1 << L), 1 << L, -1)
+    block += pattern
+
+
+def _add_merged_gains(block: np.ndarray, tmp: np.ndarray, pattern: np.ndarray, w: int,
+                      L: int) -> None:
+    """After the merge: each flagged entry, now at column q of its block,
+    adds q - w and drops the flag. `tmp` is scratch of `block`'s shape."""
+    pattern.reshape(-1, 2 * w)[:] = np.arange(-w - (1 << L), w - (1 << L))
+    np.right_shift(block, L, out=tmp)
+    tmp &= 1
+    tmp *= pattern
+    block += tmp
+
+
 def _earlier_smaller_counts(rows: np.ndarray) -> np.ndarray:
     """c[r, i] = #{j < i : rows[r, j] < rows[r, i]} for rows that are
     permutations of 1..n, by bottom-up merge counting (Knight 1966) over all
@@ -340,35 +381,62 @@ def _earlier_smaller_counts(rows: np.ndarray) -> np.ndarray:
 
     Each row is padded with n+1..P up to P = 2^L; padding sits after every
     real entry, so it adds to no real count. An entry is one key
-    (value-1) << (L+1) | count << 1 | origin, below 2^(2L+1), so sorting keys
-    sorts values and int32 holds them for L <= 15. At level w = 1, 2, ..., P/2
-    each 2w-block holds a sorted left run and a sorted right run; setting the
-    origin bit on the right run and sorting the block merges them. A right
-    entry then gains the left entries before it in the merged block: the left
-    entries before it in its row, less the w left entries of each earlier
-    block.
+    (value-1) << (L+1) | flag << L | field, so sorting keys sorts values.
+    At level w = 1, 2, ..., P/2 each 2w-block holds a sorted left run and a
+    sorted right run, and the field holds the entry's count so far, at most
+    w - 1. Merging keeps each run's order, so the right entry at column c of
+    its block (index c - w of its run) lands at some index q with c - w right
+    entries before it: it gains q - c + w, the smaller left entries. So
+    before the merge a right entry takes the flag and adds 2w - c to its
+    field (now at most 2w - 1), and after it each flagged entry adds
+    q - w - flag, which leaves count + q - c + w and clears the flag. Keys
+    stay below 2^(2L+1): int32 holds them for L <= 15 (n <= 32768), int64
+    for L <= 31, past HOEFFDING_MAX_N.
+
+    Levels 0 and 1 work on four planes, plane j holding positions j, j+4,
+    ..., and merge by compare-exchanges of whole planes: (0, 1) and (2, 3),
+    then Batcher's (0, 2), (1, 3) and (1, 2). Each later level sorts its
+    2w-blocks. Every level runs in the keys and one scratch array, and after
+    the last one row r holds value v at column v - 1, so the counts are
+    gathered through one intp index.
     """
     k, n = rows.shape
-    levels = max(n - 1, 0).bit_length()
-    P = 1 << levels
-    dt = np.int32 if 2 * levels + 1 < 32 else np.int64
+    L = max(n - 1, 0).bit_length()
+    P = 1 << L
+    dt = np.int32 if 2 * L + 1 < 32 else np.int64
     keys = np.empty((k, P), dtype=dt)
+    spare = np.empty_like(keys)
     keys[:, :n] = rows
     keys[:, n:] = np.arange(n + 1, P + 1, dtype=dt)
     keys -= 1
-    keys <<= levels + 1
-    col = np.arange(P, dtype=dt)
-    for lw in range(levels):
-        keys &= ~1
-        keys |= (col >> lw) & 1
+    keys <<= L + 1
+    D = min(P, 4)
+    planes, tmp = spare.reshape(k, D, P // D), keys.reshape(k, D, P // D)
+    for j in range(D):
+        planes[:, j] = keys[:, j::D]
+    pattern = np.empty((D, 1), dtype=dt)
+    if L > 0:
+        _flag_right_runs(planes, pattern, 1, L)
+        _exchange(planes[:, 0::2], planes[:, 1::2], tmp[:, 0::2])
+        _add_merged_gains(planes, tmp, pattern, 1, L)
+    if L > 1:
+        _flag_right_runs(planes, pattern, 2, L)
+        _exchange(planes[:, :2], planes[:, 2:], tmp[:, :2])
+        _exchange(planes[:, 1], planes[:, 2], tmp[:, 0])
+        _add_merged_gains(planes, tmp, pattern, 2, L)
+    for j in range(D):
+        keys[:, j::D] = planes[:, j]
+    pattern = np.empty(P, dtype=dt)
+    for lw in range(2, L):
+        _flag_right_runs(keys, pattern, 1 << lw, L)
         keys.reshape(-1, 2 << lw).sort(axis=-1)
-        right = keys & 1
-        left_before = np.cumsum(right ^ 1, axis=1, dtype=dt)
-        left_before -= (col >> (lw + 1)) << lw
-        left_before *= right
-        keys += left_before << 1
-    by_value = (keys[:, :n] >> 1) & (P - 1)
-    return np.take_along_axis(by_value, rows.astype(np.intp) - 1, axis=1)
+        _add_merged_gains(keys, spare, pattern, 1 << lw, L)
+    del spare, planes, tmp, pattern
+    index = rows.astype(np.intp)
+    index += (np.arange(k) * P - 1)[:, None]
+    counts = np.take(keys, index)
+    counts &= P - 1
+    return counts
 
 
 def batch_hoeffding_numerators(rows: np.ndarray) -> np.ndarray:

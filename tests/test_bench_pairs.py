@@ -1,0 +1,104 @@
+"""Tests for the summary of tools/bench_pairs.py on canned benchmark result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+LOWER = {"setup_s": "lower", "op_s": "lower", "peak_rss_mb": "lower"}
+
+
+def result_line(op_s, setup_s=0.2, peak=46.0, failed=0, attempted=500):
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"}, "op_s": {"value": op_s, "unit": "s"},
+               "peak_rss_mb": {"value": peak, "unit": "MB"}}
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed,
+                       "metrics": metrics})
+
+
+def run_output(*args, **kwargs):
+    """A run's stdout: a few records, then the result as the last line."""
+    return "\n".join([json.dumps({"record": "machine"}), json.dumps({"record": "outputs"}),
+                      result_line(*args, **kwargs)]) + "\n"
+
+
+def pairs_of(parent_ops, change_ops):
+    return [(bench_pairs.parse_result(run_output(p)), bench_pairs.parse_result(run_output(c)))
+            for p, c in zip(parent_ops, change_ops)]
+
+
+def row(rows, name):
+    return next(r for r in rows if r["metric"] == name)
+
+
+PARENT = [0.120, 0.125, 0.123, 0.122, 0.124, 0.121, 0.126, 0.123, 0.122, 0.124]
+
+
+class TestParseResult:
+    def test_last_line_is_the_result(self):
+        record = bench_pairs.parse_result(run_output(0.11, failed=1, attempted=40))
+        assert record["metrics"]["op_s"]["value"] == 0.11
+        assert (record["failed"], record["attempted"], record["correct"]) == (1, 40, False)
+
+    @pytest.mark.parametrize("stdout", ["", "\n", "not json\n", '{"record": "outputs"}\n',
+                                        result_line(0.1) + "\ntrailing text\n"])
+    def test_no_result(self, stdout):
+        assert bench_pairs.parse_result(stdout) is None
+
+
+class TestSummarize:
+    def test_claim_holds_on_nine_wins_and_a_wide_gap(self):
+        change = [0.109] * 9 + [0.130]
+        rows = bench_pairs.summarize(pairs_of(PARENT, change), LOWER)
+        op = row(rows, "op_s")
+        assert (op["pairs"], op["wins"], op["ties"]) == (10, 9, 0)
+        assert op["parent"] == pytest.approx((0.12200, 0.12300, 0.12400))
+        assert op["change"][1] == pytest.approx(0.109)
+        assert op["claim_holds"]
+
+    def test_eight_wins_are_not_enough(self):
+        change = [0.109] * 8 + [0.130, 0.130]
+        op = row(bench_pairs.summarize(pairs_of(PARENT, change), LOWER), "op_s")
+        assert op["wins"] == 8 and not op["claim_holds"]
+
+    def test_gap_must_exceed_the_parents_spread(self):
+        """Every pair won, but the medians differ by less than the parent's
+        interquartile spread of 0.002."""
+        change = [p - 0.0015 for p in PARENT]
+        op = row(bench_pairs.summarize(pairs_of(PARENT, change), LOWER), "op_s")
+        assert op["wins"] == 10 and not op["claim_holds"]
+
+    def test_ties_are_counted_and_not_won(self):
+        rows = bench_pairs.summarize(pairs_of(PARENT, PARENT), LOWER)
+        for name in LOWER:
+            r = row(rows, name)
+            assert (r["wins"], r["ties"], r["claim_holds"]) == (0, 10, False), name
+
+    def test_higher_is_better(self):
+        rows = bench_pairs.summarize(pairs_of(PARENT, [0.2] * 10), {"op_s": "higher"})
+        assert row(rows, "op_s")["wins"] == 10 and row(rows, "op_s")["claim_holds"]
+
+    def test_one_pair_and_missing_metrics(self):
+        pairs = pairs_of([0.12], [0.11])
+        del pairs[0][1]["metrics"]["setup_s"]
+        rows = bench_pairs.summarize(pairs, LOWER)
+        assert [r["metric"] for r in rows] == ["op_s", "peak_rss_mb"]
+        assert row(rows, "op_s")["parent"] == (0.12, 0.12, 0.12)
+
+    def test_format_names_every_metric(self):
+        text = bench_pairs.format_summary(bench_pairs.summarize(pairs_of(PARENT, PARENT),
+                                                                LOWER))
+        assert [line.split()[0] for line in text.splitlines()[1:]] == list(LOWER)
+        assert "does not hold" in text
+
+
+def test_describe_prints_failed_over_attempted():
+    record = bench_pairs.parse_result(run_output(0.11, failed=2, attempted=40))
+    line = bench_pairs.describe("change", 0, record)
+    assert line.startswith("pair 1 change: ") and line.endswith("failed/attempted=2/40")
+    assert bench_pairs.describe("parent", 3, None) == "pair 4 parent: no result"

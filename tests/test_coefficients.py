@@ -386,6 +386,24 @@ class TestBatchKernels:
         finally:
             tracemalloc.stop()
 
+    def test_hoeffding_counts_stay_within_a_few_key_arrays(self):
+        """Counting each chunk of a 199-row int16 draw at n = 1000 allocates
+        at most 6 times the chunk's (k, 1024) int32 key array: the keys, one
+        scratch array, then the intp index and the counts."""
+        chunks = list(_permutation_batches(derive_rng(31), 1000, 199))
+        assert [len(c) for c in chunks] == [64, 64, 71]
+        tracemalloc.start()
+        try:
+            for chunk in chunks:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                counts = _earlier_smaller_counts(chunk)
+                extra = tracemalloc.get_traced_memory()[1] - before
+                assert extra <= 6 * len(chunk) * 1024 * 4, (len(chunk), extra)
+                del counts
+        finally:
+            tracemalloc.stop()
+
     def test_scalar_wrappers_are_one_row_batches(self):
         rng = derive_rng(17)
         for _ in range(30):
@@ -441,6 +459,17 @@ class TestBatchKernels:
         got = _column_sums(a)
         assert got.dtype == np.int64
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("fill", [-32768, 32767])
+    def test_int16_column_sums_in_int32_partials(self, fill):
+        """32766 int16 rows of 512 entries, the longest block a rank sum
+        takes (n <= 32767), are each a long row (r = 1), so every column is
+        one int32 partial: 32766 * -32768 stays within int32. Every entry is
+        `fill`, so the column sums are 32766 * fill."""
+        a = np.full((32766, 512), fill, dtype=np.int16)
+        got = _column_sums(a)
+        assert got.dtype == np.int64
+        assert got.tolist() == [32766 * fill] * 512
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     def test_long_rows_with_one_distance_per_group(self, dtype):
@@ -648,7 +677,7 @@ class TestHoeffdingKernel:
     two-word sums against Python ints up to HOEFFDING_MAX_N."""
 
     @given(n=_HOEFFDING_SIZES, k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-           dtype=st.sampled_from([np.int32, np.int64]))
+           dtype=st.sampled_from([np.int16, np.int32, np.int64]))
     @settings(max_examples=150, deadline=None)
     def test_against_quadrant_counts(self, n, k, seed, dtype):
         rng = np.random.default_rng(seed)
@@ -662,6 +691,26 @@ class TestHoeffdingKernel:
         rx, ry = rng.permutation(n) + 1, rng.permutation(n) + 1
         want = int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
         assert hoeffding_numerator(rx, ry) == want == hoeffding_brute(rx.tolist(), ry.tolist())
+
+    @pytest.mark.parametrize("n, dtype", [(1023, np.int16), (1024, np.int16), (1025, np.int16),
+                                          (4097, np.int16), (32767, np.int16),
+                                          (32768, np.int32), (32769, np.int32)])
+    def test_counts_against_earlier_smaller(self, n, dtype):
+        """Rows pad to P = 1024 up to n = 1024 and to 2048 from 1025; keys
+        are int32 up to n = 32768 and int64 from 32769, and the counts come
+        back in the key dtype. The identity, the reversal and three random
+        rows at each size."""
+        rows = kernel_cases(derive_rng(29, n), n, 5, dtype)
+        got = _earlier_smaller_counts(rows)
+        assert got.dtype == (np.int32 if n <= 32768 else np.int64)
+        assert got.tolist() == [earlier_smaller(row).tolist() for row in rows]
+
+    def test_counts_of_a_draw_chunk(self):
+        """The 71-row chunk that ends a 199-row Hoeffding test at n = 1000."""
+        rows = list(_permutation_batches(derive_rng(30), 1000, 199))[-1]
+        assert rows.shape == (71, 1000) and rows.dtype == np.int16
+        assert _earlier_smaller_counts(rows).tolist() == [earlier_smaller(row).tolist()
+                                                          for row in rows]
 
     @pytest.mark.parametrize("ry", [[1, 2, 2, 4, 5], [0, 1, 2, 3, 4], [1.5, 2, 3, 4, 5],
                                     [1, 2, 3, 4, 9]],
