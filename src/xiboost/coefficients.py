@@ -476,12 +476,15 @@ def batch_hoeffding_numerators(rows: np.ndarray) -> np.ndarray:
     c = _earlier_smaller_counts(rows)
     a = np.arange(1, n + 1, dtype=np.int64)
     low, estimate = np.zeros(k, dtype=np.uint64), np.zeros(k)
-    # A, C and B as (the two operands of the factor, weight, scale), so one
-    # n-wide int64 factor is alive at a time
-    for x, y, weight, scale in ((rows - 1, rows - 2, (a - 1) * (a - 2), 1),
-                                (c, c - 1, np.ones(n, dtype=np.int64), (n - 2) * (n - 3)),
-                                (rows - 2, c, a - 2, -2 * (n - 2))):
-        factor = np.multiply(x, y, dtype=np.int64)
+
+    def terms():
+        # A, C and B as (factor, weight, scale), each built at its turn: the
+        # operands of a factor are freed by its multiply
+        yield np.multiply(rows - 1, rows - 2, dtype=np.int64), (a - 1) * (a - 2), 1
+        yield np.multiply(c, c - 1, dtype=np.int64), np.ones(n, dtype=np.int64), (n - 2) * (n - 3)
+        yield np.multiply(rows - 2, c, dtype=np.int64), a - 2, -2 * (n - 2)
+
+    for factor, weight, scale in terms():
         with np.errstate(over="ignore"):
             low += factor.view(np.uint64) @ weight.view(np.uint64) * np.uint64(scale % 2**64)
         factor, weight = factor.astype(np.float64), weight.astype(np.float64)

@@ -45,11 +45,12 @@ def _head(line: str) -> tuple[str, bool]:
 
 
 def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
-    """The 1-based number and the stripped text of each line of `path`, read
-    in the text mode ``np.loadtxt(path)`` reads in: UTF-8 less a leading byte
-    order mark, a line ending at "\\n", "\\r\\n" or "\\r". A byte that is not
-    UTF-8 raises :class:`ParseError` naming its line and, counted in
-    characters after any byte order mark, its column."""
+    """The 1-based number and the stripped text of each nonblank line of
+    `path`, read in the text mode ``np.loadtxt(path)`` reads in: UTF-8 less a
+    leading byte order mark, a line ending at "\\n", "\\r\\n" or "\\r". A
+    byte that is not UTF-8, on any line, raises :class:`ParseError` naming
+    its line and, counted in characters after any byte order mark, its
+    column."""
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.isascii():  # surrogateescape maps byte b to U+DC00 + b
@@ -57,7 +58,9 @@ def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
                 if bad is not None:
                     raise ParseError(lineno, bad + 1,
                                      f"byte 0x{ord(line[bad]) - 0xdc00:02x} is not UTF-8")
-            yield lineno, line.strip()
+            line = line.strip()
+            if line:
+                yield lineno, line
 
 
 def load_sample(path: Union[str, Path]) -> Sample:
@@ -114,7 +117,7 @@ def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
     delimiter, skiprows = head
     table = _loadtxt(path, delimiter, skiprows)
     if table is None:
-        rows = (line for lineno, line in _lines(path) if line and lineno > skiprows)
+        rows = (line for lineno, line in _lines(path) if lineno > skiprows)
         table = _loadtxt(rows, delimiter, 0)
     if table is None or table.shape[1] != 2 or table.shape[0] < 2:
         return None
@@ -127,7 +130,7 @@ def _pre_scan(path: Path) -> Optional[tuple[str, int]]:
     through the first nonblank line only. None, for the scanner to decide,
     when no line is nonblank or a byte read is not UTF-8."""
     try:
-        lineno, line = next((lineno, line) for lineno, line in _lines(path) if line)
+        lineno, line = next(_lines(path))
     except (StopIteration, ParseError):
         return None  # the scanner names the line and column of a bad byte
     delimiter, header = _head(line)
@@ -141,8 +144,6 @@ def _scan_sample(path: Union[str, Path]) -> Sample:
     lines = _lines(path)
     try:
         for lineno, line in lines:
-            if not line:
-                continue
             if delimiter is None:
                 delimiter, header = _head(line)
                 if header:
@@ -297,7 +298,7 @@ def parse_config_file(path: Union[str, Path]) -> dict:
     lines = _lines(path)
     try:
         for lineno, line in lines:
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
                 continue
             key, sep, value = line.partition("=")
             if not sep:

@@ -36,9 +36,11 @@ from .coefficients import (
     METHODS,
     TESTED_METHODS,
     Method,
+    batch_min_rank_sums,
     pearson_r,
     score_sample,
     xi_denominator,
+    xi_fraction_from_min_sum,
     xi_nm,
     xi_nm_from_ranks,
     validate_method,
@@ -253,8 +255,9 @@ def null_moments_enumerate(n: int, M: int) -> NullMoments:
     """Exact null mean and variance by enumerating all n! rank permutations.
 
     Fixes x at 1..n (the statistic is conditionally distribution-free given
-    the x-order, so this loses nothing) and averages in exact rational
-    arithmetic. Limited to n <= 8.
+    the x-order, so this loses nothing), scores the n! rows as one
+    :func:`~xiboost.coefficients.batch_min_rank_sums` batch, and averages the
+    integer scores in exact rational arithmetic. Limited to n <= 8.
     """
     if _is_whole(n):  # the count rule in validate_sizes names any other n
         if n > 8:
@@ -262,23 +265,12 @@ def null_moments_enumerate(n: int, M: int) -> NullMoments:
         if n < 2:
             raise SizeError(f"need n >= 2, got {n}")
     n, M = validate_sizes(n, M)
-    denom = xi_denominator(n, M)
-    count = 0
-    acc = Fraction(0)
-    acc_sq = Fraction(0)
-    for perm in itertools.permutations(range(1, n + 1)):
-        S = 0
-        for i in range(n):
-            ri = perm[i]
-            for m in range(1, M + 1):
-                j = i + m
-                S += min(ri, perm[j]) if j < n else ri
-        value = Fraction(24 * S, denom) - 2
-        acc += value
-        acc_sq += value * value
-        count += 1
-    mean = acc / count
-    variance = acc_sq / count - mean * mean
+    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    scores = batch_min_rank_sums(perms, M)[0].tolist()
+    mean_S = Fraction(sum(scores), len(scores))
+    var_S = Fraction(sum(S * S for S in scores), len(scores)) - mean_S ** 2
+    mean = xi_fraction_from_min_sum(mean_S, n, M)
+    variance = var_S * Fraction(24, xi_denominator(n, M)) ** 2
     return NullMoments(
         n=n,
         M=M,

@@ -11,7 +11,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-LOWER = {"setup_s": "lower", "op_s": "lower", "peak_rss_mb": "lower"}
+LOWER = {"setup_s": ("lower", 0.25), "op_s": ("lower", 0.25), "peak_rss_mb": ("lower", 0.1)}
 
 
 def result_line(op_s, setup_s=0.2, peak=46.0, failed=0, attempted=500):
@@ -80,7 +80,7 @@ class TestSummarize:
             assert (r["wins"], r["ties"], r["claim_holds"]) == (0, 10, False), name
 
     def test_higher_is_better(self):
-        rows = bench_pairs.summarize(pairs_of(PARENT, [0.2] * 10), {"op_s": "higher"})
+        rows = bench_pairs.summarize(pairs_of(PARENT, [0.2] * 10), {"op_s": ("higher", 0.25)})
         assert row(rows, "op_s")["wins"] == 10 and row(rows, "op_s")["claim_holds"]
 
     def test_one_pair_and_missing_metrics(self):
@@ -95,6 +95,72 @@ class TestSummarize:
                                                                 LOWER))
         assert [line.split()[0] for line in text.splitlines()[1:]] == list(LOWER)
         assert "does not hold" in text
+        assert text.splitlines()[0].endswith("verdict")
+        assert all(line.endswith(" ok") for line in text.splitlines()[1:])
+
+
+class TestVerdict:
+    """The no-regression rule on one metric, with the op_s bound of 0.25."""
+
+    def verdict(self, parent, change, better="lower"):
+        rows = bench_pairs.summarize(pairs_of(parent, change), {"op_s": (better, 0.25)})
+        return row(rows, "op_s")["verdict"]
+
+    def test_same_runs_are_ok(self):
+        assert self.verdict(PARENT, PARENT) == "ok"
+
+    def test_worse_within_the_bound_is_ok(self):
+        assert self.verdict(PARENT, [p * 1.2 for p in PARENT]) == "ok"
+
+    def test_worse_beyond_the_bound_regressed(self):
+        assert self.verdict(PARENT, [p * 1.3 for p in PARENT]) == "regressed"
+
+    def test_higher_is_better_regresses_downward(self):
+        assert self.verdict(PARENT, [p * 0.7 for p in PARENT], "higher") == "regressed"
+        assert self.verdict(PARENT, [p * 1.3 for p in PARENT], "higher") == "ok"
+
+    def test_a_wide_change_spread_is_unresolved(self):
+        """Median 0.125, within the bound, but quartiles 0.1025 and 0.1475."""
+        change = [0.08, 0.09, 0.10, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17]
+        assert self.verdict(PARENT, change) == "unresolved"
+
+    def test_a_wide_parent_spread_is_unresolved(self):
+        parent = [0.08, 0.09, 0.10, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17]
+        assert self.verdict(parent, PARENT) == "unresolved"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        parent = [0.20, 0.25, 0.30, 0.35, 0.40] * 2
+        change = [0.05, 0.07, 0.10, 0.12, 0.15] * 2
+        assert self.verdict(parent, change) == "ok"
+        assert self.verdict(parent, change[:-1] + [0.19]) == "ok"
+        assert self.verdict(parent, change[:-1] + [0.20]) == "unresolved"
+        assert self.verdict(change, parent, "higher") == "ok"
+
+
+class TestFailures:
+    def test_failed_share_sums_operations(self):
+        records = [bench_pairs.parse_result(run_output(0.1, failed=f, attempted=a))
+                   for f, a in ((0, 40), (2, 50), (0, 10))]
+        assert bench_pairs.failed_share(records) == (2, 100)
+
+    def test_a_run_reporting_incorrect_counts_a_failure(self):
+        record = bench_pairs.parse_result(run_output(0.1, failed=0, attempted=40))
+        record["correct"] = False
+        assert bench_pairs.failed_share([record]) == (1, 40)
+
+    def test_regression_found(self):
+        ok = bench_pairs.summarize(pairs_of(PARENT, PARENT), LOWER)
+        regressed = bench_pairs.summarize(pairs_of(PARENT, [p * 1.3 for p in PARENT]), LOWER)
+        unresolved = bench_pairs.summarize(
+            pairs_of(PARENT, [0.08, 0.09, 0.10, 0.11, 0.12, 0.13, 0.14, 0.15, 0.16, 0.17]),
+            LOWER)
+        assert not bench_pairs.regression_found(ok, (0, 500), (0, 500))
+        assert not bench_pairs.regression_found(unresolved, (0, 500), (0, 500))
+        assert bench_pairs.regression_found(regressed, (0, 500), (0, 500))
+        # a larger failed share, compared across different attempt counts
+        assert bench_pairs.regression_found(ok, (1, 500), (1, 400))
+        assert not bench_pairs.regression_found(ok, (1, 400), (1, 500))
+        assert not bench_pairs.regression_found(ok, (2, 1000), (1, 500))
 
 
 def test_describe_prints_failed_over_attempted():

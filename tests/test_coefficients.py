@@ -404,6 +404,21 @@ class TestBatchKernels:
         finally:
             tracemalloc.stop()
 
+    def test_hoeffding_numerator_holds_one_term_at_a_time(self):
+        """One int32 row at n = 200000 peaks below 64 bytes per entry: the
+        operands of the numerator's three terms are built one term at a
+        time, not all before the first multiply."""
+        n = 200_000
+        row = (derive_rng(32).permutation(n) + 1).astype(np.int32)[None]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch_hoeffding_numerators(row)
+            extra = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert extra < 64 * n, extra / n
+
     def test_scalar_wrappers_are_one_row_batches(self):
         rng = derive_rng(17)
         for _ in range(30):

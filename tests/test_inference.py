@@ -2,6 +2,7 @@
 null-moment utilities."""
 
 import dataclasses
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -366,7 +367,33 @@ class TestNullVariance:
             assert m_star == pytest.approx(math.sqrt(0.75 * n), rel=0.05)
 
 
+@functools.lru_cache(maxsize=None)
+def brute_min_sums(n):
+    """Per M = 1..n-1, the min-rank sum of every permutation of 1..n: the sum
+    over positions p and m = 1..M of min(r[p], r[p+m]), or r[p] past the end."""
+    sums = {M: [] for M in range(1, n)}
+    for r in itertools.permutations(range(1, n + 1)):
+        S = 0
+        for M in range(1, n):
+            S += sum(min(r[p], r[p + M]) if p + M < n else r[p] for p in range(n))
+            sums[M].append(S)
+    return sums
+
+
 class TestNullMomentsEnumerate:
+    @pytest.mark.parametrize("n, M", [(n, M) for n in range(2, 8) for M in range(1, n)]
+                             + [(8, 1), (8, 7)])
+    def test_against_brute_force(self, n, M):
+        """Mean and variance of xi_{n,M} = -2 + 6 S / ((n+1)(nM + M(M+1)/4))
+        over all n! permutations, in exact fractions."""
+        values = [Fraction(6 * S) / ((n + 1) * (n * M + Fraction(M * (M + 1), 4))) - 2
+                  for S in brute_min_sums(n)[M]]
+        mean = sum(values) / len(values)
+        variance = sum((v - mean) ** 2 for v in values) / len(values)
+        nm = null_moments_enumerate(n, M)
+        assert (nm.n, nm.M, nm.mean, nm.variance_exact) == (n, M, mean, variance)
+        assert nm.mean == 0
+
     def test_n3_m1(self):
         nm = null_moments_enumerate(3, 1)
         assert nm.mean == 0

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of benchmark runs, and the claim rule.
+"""Alternating parent/change pairs of benchmark runs, the claim rule and the
+no-regression rule.
 
 Runs ``bench/run.py --workload W --seed S --seconds 15 --trace 0`` in two
 checkouts, N times each, alternating which side goes first, and prints every
@@ -11,8 +12,18 @@ run and a summary per end-to-end metric:
 A pair is won when the change's value is better than the parent's and tied
 when they are equal. A claimed gain holds when the change wins at least nine
 of ten pairs (90%) and its median beats the parent's by more than the
-parent's interquartile spread. The metrics and their directions come from
-the change checkout's ``BENCHMARK.json``. Standard library only.
+parent's interquartile spread.
+
+Each metric also gets a verdict from its ``bound``, a share of the median:
+"regressed" when the change's median is worse than the parent's by more than
+the bound; else "unresolved" when either side's interquartile spread exceeds
+the bound times that side's median, unless every change run beats every
+parent run; else "ok". Each side's failed/attempted operations are printed;
+a run that reports ``correct: false`` counts at least one failed operation.
+The exit status is 1 when a run gave no result, a metric regressed, or the
+change failed a larger share than the parent. The metrics, their directions
+and bounds come from the change checkout's ``BENCHMARK.json``. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -48,13 +59,27 @@ def quartiles(values: list) -> tuple:
     return q1, median, q3
 
 
+def verdict(parent: list, change: list, sign: int, bound: float) -> str:
+    """The no-regression verdict on one metric's runs: "regressed",
+    "unresolved" or "ok". `sign` is 1 when lower is better, -1 when higher
+    is; `bound` is a share of the median."""
+    pq, cq = quartiles(parent), quartiles(change)
+    if sign * (cq[1] - pq[1]) > bound * abs(pq[1]):
+        return "regressed"
+    every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    if not every_run_better and any(q[2] - q[0] > bound * abs(q[1]) for q in (pq, cq)):
+        return "unresolved"
+    return "ok"
+
+
 def summarize(pairs: list, metrics: dict) -> list:
-    """One row per metric: parent and change quartiles, wins, ties and
-    whether the claim rule holds. `pairs` holds (parent, change) result
-    records; `metrics` maps each metric name to "lower" or "higher", the
-    better direction. Pairs where either run lacks the metric are left out."""
+    """One row per metric: parent and change quartiles, wins, ties, whether
+    the claim rule holds and the no-regression verdict. `pairs` holds
+    (parent, change) result records; `metrics` maps each metric name to
+    ("lower" or "higher", the better direction, and its bound). Pairs where
+    either run lacks the metric are left out."""
     rows = []
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         sign = 1 if better == "lower" else -1
         both = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
@@ -67,19 +92,36 @@ def summarize(pairs: list, metrics: dict) -> list:
         holds = (wins >= math.ceil(WIN_SHARE * len(both))
                  and sign * (pq[1] - cq[1]) > pq[2] - pq[0])
         rows.append({"metric": name, "parent": pq, "change": cq, "pairs": len(both),
-                     "wins": wins, "ties": ties, "claim_holds": holds})
+                     "wins": wins, "ties": ties, "claim_holds": holds,
+                     "verdict": verdict(parent, change, sign, bound)})
     return rows
+
+
+def failed_share(records: list) -> tuple:
+    """(failed, attempted) operations over one side's result records. A run
+    that reports ``correct: false`` counts at least one failed operation,
+    whatever its ``failed`` field reads."""
+    return (sum(max(r["failed"], int(not r["correct"])) for r in records),
+            sum(r["attempted"] for r in records))
+
+
+def regression_found(rows: list, parent: tuple, change: tuple) -> bool:
+    """Whether a metric regressed, or the change failed a larger share of its
+    operations than the parent; `parent` and `change` are
+    :func:`failed_share` pairs."""
+    return (any(r["verdict"] == "regressed" for r in rows)
+            or change[0] * parent[1] > parent[0] * change[1])
 
 
 def format_summary(rows: list) -> str:
     out = [f"{'metric':<14}{'parent q1 / median / q3':>34}{'change q1 / median / q3':>34}"
-           f"{'wins':>8}{'ties':>6}  claim"]
+           f"{'wins':>8}{'ties':>6}  {'claim':<15}verdict"]
     for r in rows:
         parent = " / ".join(f"{v:.4f}" for v in r["parent"])
         change = " / ".join(f"{v:.4f}" for v in r["change"])
         out.append(f"{r['metric']:<14}{parent:>34}{change:>34}"
                    f"{r['wins']:>5}/{r['pairs']:<2}{r['ties']:>6}  "
-                   f"{'holds' if r['claim_holds'] else 'does not hold'}")
+                   f"{'holds' if r['claim_holds'] else 'does not hold':<15}{r['verdict']}")
     return "\n".join(out)
 
 
@@ -113,7 +155,7 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -124,8 +166,12 @@ def main(argv=None) -> int:
         if got["parent"] is not None and got["change"] is not None:
             pairs.append((got["parent"], got["change"]))
     print(f"\n{args.workload}, seed {args.seed}: {len(pairs)} complete pairs")
-    print(format_summary(summarize(pairs, metrics)))
-    return 0 if len(pairs) == args.pairs else 1
+    rows = summarize(pairs, metrics)
+    print(format_summary(rows))
+    shares = [failed_share([pair[i] for pair in pairs]) for i in (0, 1)]
+    for side, (failed, attempted) in zip(("parent", "change"), shares):
+        print(f"{side} failed/attempted: {failed}/{attempted}")
+    return 0 if len(pairs) == args.pairs and not regression_found(rows, *shares) else 1
 
 
 if __name__ == "__main__":
