@@ -38,9 +38,9 @@ from .ranks import (
     Sample,
     XOrder,
     block_rows,
-    is_rank_permutation,
     sorted_y_ranks,
     validate_neighbor_count,
+    validate_ranks,
     validate_rho,
     validate_sizes,
 )
@@ -87,8 +87,8 @@ def _pair_min_sums(rows: np.ndarray, first: int, last: int) -> np.ndarray:
 
     Rows are transposed to contiguous (n, k) columns, so each distance is one
     `np.minimum` of two contiguous blocks into a reused buffer. int64 rows,
-    the one row a coefficient scores, are transposed whole and take one
-    minimum and one int64 column sum per distance. The block loop below
+    the one row a sample's coefficient scores, are transposed whole and take
+    one minimum and one int64 column sum per distance. The block loop below
     would take them too, and for a row that fits in cache it is faster (one
     row at n = 5000, M = 200: 0.96-1.33 ms against 1.29-1.66 ms), but for
     one long row it is slower and larger: at n = 1e6, M = 20 it took
@@ -168,6 +168,13 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_min_sum_bound(n: int, M: int) -> None:
+    """SizeError past M n(n+1)/2 = 2^63 - 1 (from n = 2,642,246 at M = n-1), which bounds
+    every min-rank sum and partial sum: each position adds at most M copies of its rank."""
+    if int(M) * n * (n + 1) // 2 > 2 ** 63 - 1:  # a Python int, so a numpy M cannot wrap
+        raise SizeError(f"min-rank sums need M*n*(n+1)/2 <= 2^63 - 1, got n = {n}, M = {M}")
+
+
 def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Min-rank sums of each row and of its rank reflection, in one pass.
 
@@ -184,10 +191,10 @@ def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
     (n^3-n)/6, since rank r is the smaller of a pair with each of the n-r
     larger ranks. When 2M > n-1 the pair minima over distances 1..M are
     therefore (n^3-n)/6 less those over the n-1-M distances M+1..n-1, the
-    shorter loop. The total is below 2^63 for n <= 3,810,778. Exact int64
-    arithmetic throughout.
+    shorter loop. Exact int64 arithmetic, within :func:`_check_min_sum_bound`.
     """
     n = rows.shape[1]
+    _check_min_sum_bound(n, M)
     if 2 * M > n - 1:
         pairs = (n ** 3 - n) // 6 - _pair_min_sums(rows, M + 1, n - 1)
     else:
@@ -204,8 +211,9 @@ def batch_min_rank_sums(rows: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarra
 
 def min_rank_sum(rs: np.ndarray, M: int) -> int:
     """Sum over all points and m = 1..M of min(rank, rank of m-th right neighbor);
-    a one-row :func:`batch_min_rank_sums`."""
-    return int(batch_min_rank_sums(np.asarray(rs)[None], M)[0][0])
+    a one-row :func:`batch_min_rank_sums` of `rs` read by :func:`ranks.validate_ranks`."""
+    rs = validate_ranks("rs", rs)
+    return int(batch_min_rank_sums(rs[None], validate_neighbor_count(rs.size, M))[0][0])
 
 
 def batch_symmetric_min_sums(rows: np.ndarray, M: int) -> np.ndarray:
@@ -217,6 +225,7 @@ def batch_symmetric_min_sums(rows: np.ndarray, M: int) -> np.ndarray:
     With S = :func:`_pair_min_sums` the sum is therefore 2 S(rows, 1, L) +
     S(rows, L+1, R) + S(first M+1 columns, R+1, M) + S(last M+1, L+1, M).
     """
+    _check_min_sum_bound(rows.shape[1], M)
     right, left = (M + 1) // 2, M // 2
     return (2 * _pair_min_sums(rows, 1, left) + _pair_min_sums(rows, left + 1, right)
             + _pair_min_sums(rows[:, : M + 1], right + 1, M)
@@ -225,8 +234,9 @@ def batch_symmetric_min_sums(rows: np.ndarray, M: int) -> np.ndarray:
 
 def symmetric_min_sum(rs: np.ndarray, M: int) -> int:
     """Raw symmetric-neighbor statistic: sum of min ranks over all incidences;
-    a one-row :func:`batch_symmetric_min_sums`."""
-    return int(batch_symmetric_min_sums(np.asarray(rs)[None], M)[0])
+    a one-row :func:`batch_symmetric_min_sums` of `rs` read by :func:`ranks.validate_ranks`."""
+    rs = validate_ranks("rs", rs)
+    return int(batch_symmetric_min_sums(rs[None], validate_neighbor_count(rs.size, M))[0])
 
 
 def xi_denominator(n: int, M: int) -> int:
@@ -291,12 +301,9 @@ def xi_nm_from_ranks(r: Sequence[int], ord: Optional[XOrder], M: int) -> Coeffic
 
     `ord` sorts the x coordinate and must have one position per rank; pass
     None for the identity order, which is the null-replicate fast path where
-    the m-th right neighbor of index i is simply i+m.
+    the m-th right neighbor of index i is simply i+m; `r` is read in the null rows' dtype.
     """
-    arr = np.asarray(r)
-    if not is_rank_permutation(arr):
-        raise SizeError("r must be a permutation of 1..n")
-    arr = arr.astype(np.int64, copy=False)
+    arr = validate_ranks("r", r)
     if ord is not None and ord.n != arr.size:
         raise SizeError(f"ord orders {ord.n} values but r holds {arr.size} ranks")
     return _score_row(arr if ord is None else arr[ord.order], Method.XI_NM, M)[0]
@@ -498,13 +505,10 @@ def hoeffding_numerator(rx: np.ndarray, ry: np.ndarray) -> int:
     """Exact integer numerator of the D statistic for x-ranks `rx` and
     y-ranks `ry`, two permutations of 1..n; a one-row
     :func:`batch_hoeffding_numerators`."""
-    rx, ry = np.asarray(rx), np.asarray(ry)
-    for name, r in (("rx", rx), ("ry", ry)):
-        if not is_rank_permutation(r):
-            raise SizeError(f"{name} must be a permutation of 1..n")
+    rx, ry = validate_ranks("rx", rx), validate_ranks("ry", ry)
     if rx.size != ry.size:
         raise SizeError(f"rx holds {rx.size} ranks but ry holds {ry.size}")
-    return int(batch_hoeffding_numerators(ry.astype(np.int64)[np.argsort(rx)][None])[0])
+    return int(batch_hoeffding_numerators(ry[np.argsort(rx)][None])[0])
 
 
 def hoeffding_denominator(n: int) -> int:

@@ -297,8 +297,5 @@ def permutation_test_fast_path_equivalence(r: Sequence[int], M: int) -> tuple[fl
     must agree bit-exactly.
     """
     arr = np.asarray(r)
-    a = replicate_statistic_from_permutation(arr, M)  # checks that r is a rank permutation
-    synthetic = Sample(np.arange(1, arr.size + 1, dtype=np.float64),
-                       arr.astype(np.float64))
-    b = xi_nm(synthetic, M).value
-    return a, b
+    a = replicate_statistic_from_permutation(arr, M)  # reads r by ranks.validate_ranks
+    return a, xi_nm(Sample(np.arange(1, arr.size + 1), arr), M).value

@@ -172,9 +172,9 @@ def right_neighbor(ord: XOrder, i: int, m: int) -> int:
 
 
 def reflect_ranks(r: Sequence[int]) -> np.ndarray:
-    """Map each rank to n+1-rank: the ranks of -y given the ranks of y."""
-    arr = np.asarray(r)
-    return arr.size + 1 - arr
+    """Map each rank to n+1-rank: the ranks of -y given the ranks of y, as int64."""
+    arr = validate_ranks("r", r)
+    return arr.size + 1 - arr.astype(np.int64)
 
 
 def random_rank_permutation(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -300,22 +300,20 @@ def validate_grid(name: str, values, rule) -> tuple:
     return values
 
 
-def is_rank_permutation(r: np.ndarray) -> bool:
-    """True when r holds each of 1..n exactly once, as real numbers: a bool,
-    int, uint or float array, or an object array of real numbers. Complex,
-    text, bytes, datetime, timedelta and structured values are no ranks."""
+def validate_ranks(name: str, r) -> np.ndarray:
+    """The one reading of a rank row: each of 1..n once, as real numbers (a bool, int,
+    uint or float array, or an object array of real numbers), returned in the dtype of
+    every drawn null row, :func:`rank_dtype` (n); anything else raises SizeError."""
     arr = np.asarray(r)
-    if arr.ndim != 1 or arr.size == 0:
-        return False
-    if arr.dtype.kind == "O":
-        # in range before the cast, so neither a huge int nor a nan reaches it
-        if not all(isinstance(v, numbers.Real) and 1 <= v <= arr.size for v in arr):
-            return False
+    n = arr.size
+    # in range before the cast, so neither a huge int nor a nan reaches it
+    if arr.ndim == 1 and arr.dtype.kind == "O" and all(
+            isinstance(v, numbers.Real) and 1 <= v <= n for v in arr):
         arr = arr.astype(np.float64)
-    elif arr.dtype.kind not in "biuf":
-        return False
-    if arr.dtype.kind == "f" and not (arr == np.trunc(arr)).all():  # 1.5 is no rank
-        return False
-    if arr.min() < 1 or arr.max() > arr.size:
-        return False
-    return bool((np.bincount(arr.astype(np.int64), minlength=arr.size + 1)[1:] == 1).all())
+    if (arr.ndim == 1 and n and arr.dtype.kind in "biuf"
+            and (arr.dtype.kind != "f" or (arr == np.trunc(arr)).all())  # 1.5 is no rank
+            and arr.min() >= 1 and arr.max() <= n):
+        arr = arr.astype(rank_dtype(n), copy=False)
+        if (np.bincount(arr, minlength=n + 1)[1:] == 1).all():
+            return arr
+    raise SizeError(f"{name} must be a permutation of 1..n")

@@ -1,4 +1,5 @@
-"""Tests for the summary of tools/bench_pairs.py on canned benchmark result lines."""
+"""Tests for the summary and the trajectory of tools/bench_pairs.py on canned
+benchmark result lines."""
 
 import importlib.util
 import json
@@ -168,3 +169,67 @@ def test_describe_prints_failed_over_attempted():
     line = bench_pairs.describe("change", 0, record)
     assert line.startswith("pair 1 change: ") and line.endswith("failed/attempted=2/40")
     assert bench_pairs.describe("parent", 3, None) == "pair 4 parent: no result"
+
+
+class TestTrajectory:
+    def entry(self, side, pair, op_s):
+        return {"workload": "perm_test", "side": side, "pair": pair, "order": 0, "seed": 1,
+                "sources": {"parent": "a", "change": "b"},
+                "records": bench_pairs.parse_records(run_output(op_s))}
+
+    def test_parse_records_keeps_every_record(self):
+        records = bench_pairs.parse_records(run_output(0.11) + "a line that is no JSON\n")
+        assert [r.get("record") for r in records] == ["machine", "outputs", None]
+        assert records[-1] == bench_pairs.parse_result(run_output(0.11))
+
+    def test_appends_and_keeps_earlier_entries(self, tmp_path):
+        path = tmp_path / "BENCH_perm_test.json"
+        first, second = self.entry("parent", 0, 0.12), self.entry("change", 0, 0.11)
+        bench_pairs.append_trajectory(path, first)
+        bench_pairs.append_trajectory(path, second)
+        assert json.loads(path.read_text()) == [first, second]
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "BENCH_perm_test.json"
+        bench_pairs.append_trajectory(path, self.entry("parent", 0, 0.12))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # a set is no JSON
+            bench_pairs.append_trajectory(path, {"records": {1, 2}})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_source_hash_covers_src_and_bench(self, tmp_path):
+        for name, text in (("src/pkg/a.py", "a = 1\n"), ("bench/run.py", "b = 2\n"),
+                           ("README.md", "c\n"), ("src/pkg/__pycache__/a.pyc", "x")):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text)
+        source = bench_pairs.source_hash(tmp_path)
+        assert source.startswith("sha256:") and len(source) == len("sha256:") + 64
+        (tmp_path / "README.md").write_text("other\n")
+        (tmp_path / "src/pkg/__pycache__/a.pyc").write_text("y")
+        assert bench_pairs.source_hash(tmp_path) == source
+        (tmp_path / "bench/run.py").write_text("b = 3\n")
+        assert bench_pairs.source_hash(tmp_path) != source
+
+    def test_main_appends_every_run(self, tmp_path, monkeypatch):
+        (tmp_path / "change").mkdir()
+        (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": name, "better": better, "bound": bound}
+            for name, (better, bound) in LOWER.items()]}))
+        runs = iter([0.12, 0.11, 0.11, 0.12])
+        monkeypatch.setattr(bench_pairs, "source_hash", lambda checkout: checkout.name)
+        monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed: (
+            bench_pairs.parse_result(out := run_output(next(runs))),
+            bench_pairs.parse_records(out)))
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change",
+                                 str(tmp_path / "change"), "--workload", "perm_test",
+                                 "--pairs", "2", "--seed", "3"]) == 0
+        entries = json.loads((tmp_path / "change" / "BENCH_perm_test.json").read_text())
+        assert [(e["side"], e["pair"], e["order"]) for e in entries] == [
+            ("parent", 0, 0), ("change", 0, 1), ("change", 1, 0), ("parent", 1, 1)]
+        assert all(e["seed"] == 3 and e["workload"] == "perm_test" for e in entries)
+        assert entries[0]["sources"] == {"parent": tmp_path.name, "change": "change"}
+        assert [e["records"][-1]["metrics"]["op_s"]["value"] for e in entries] == [
+            0.12, 0.11, 0.11, 0.12]
+        assert len(entries[0]["records"]) == 3

@@ -35,6 +35,7 @@ from xiboost import (
     xi_nm_reflected,
     xi_pm,
 )
+from xiboost import coefficients
 from xiboost.coefficients import (
     _HOEFFDING_BLOCK,
     HOEFFDING_MAX_N,
@@ -533,6 +534,42 @@ class TestBatchKernels:
                 want = np.tile(np.arange(1, n + 1, dtype=want_dtype), (B, 1))
                 derive_rng(20).permuted(want, axis=1, out=want)
                 assert np.array_equal(drawn, want), (B, want_dtype)
+
+
+class TestMinSumBound:
+    """Every min-rank sum is at most M n(n+1)/2; with M = n-1 that passes
+    2^63 - 1 first at n = 2,642,246, where the int64 sums would wrap."""
+
+    N = 2_642_246
+
+    def test_the_first_n_past_the_bound(self):
+        assert (self.N - 1) * self.N * (self.N + 1) // 2 > 2 ** 63 - 1
+        assert (self.N - 2) * (self.N - 1) * self.N // 2 <= 2 ** 63 - 1
+
+    def test_exact_at_the_last_n_within_it(self):
+        n = self.N - 1
+        s = Sample(np.arange(n, dtype=np.float64), np.arange(n, dtype=np.float64))
+        assert xi_nm_exact(s, n - 1) == monotone_extremal_values_exact(n, n - 1)[0]
+
+    def test_raises_past_it(self, monkeypatch):
+        n = self.N
+        message = (r"^min-rank sums need M\*n\*\(n\+1\)/2 <= 2\^63 - 1, "
+                   rf"got n = {n}, M = {n - 1}$")
+        s = Sample(np.arange(n, dtype=np.float64), np.arange(n, dtype=np.float64))
+        for coefficient in (xi_nm, xi_pm):
+            with pytest.raises(SizeError, match=message):
+                coefficient(s, n - 1)
+        del s
+        row = np.arange(1, n + 1, dtype=np.int32)[None]
+
+        def no_loop(*args):
+            raise AssertionError("the pair-minimum loop ran")
+
+        monkeypatch.setattr(coefficients, "_pair_min_sums", no_loop)
+        for kernel in (batch_min_rank_sums, batch_symmetric_min_sums):
+            for M in (n - 1, np.int64(n - 1)):  # M*n*(n+1) would wrap in int64
+                with pytest.raises(SizeError, match=message):
+                    kernel(row, M)
 
 
 # each rank method's public coefficient, called as a user would

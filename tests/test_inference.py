@@ -26,6 +26,7 @@ from xiboost import (
     pearson_test,
     permutation_test,
     permutation_test_fast_path_equivalence,
+    reflect_ranks,
     replicate_statistic_from_permutation,
     sample_rotation,
 )
@@ -423,6 +424,28 @@ class TestNullMomentsEnumerate:
                 null_moments_enumerate(n, 1)
 
 
+def _identity_like(r):
+    """A valid rank row 1..len(r), at least one long: the other argument of
+    hoeffding_numerator."""
+    return list(range(1, max(len(r), 1) + 1))
+
+
+# Every public function that reads a rank row, with the name its error gives
+# the row: both argument positions of hoeffding_numerator.
+RANK_ENTRIES = {
+    "xi_nm_from_ranks": ("r", lambda r: coefficients.xi_nm_from_ranks(r, None, 1)),
+    "replicate_statistic": ("r", lambda r: replicate_statistic_from_permutation(r, 1)),
+    "fast_path_equivalence": ("r", lambda r: permutation_test_fast_path_equivalence(r, 1)),
+    "hoeffding_numerator_rx": ("rx", lambda r: coefficients.hoeffding_numerator(
+        r, _identity_like(r))),
+    "hoeffding_numerator_ry": ("ry", lambda r: coefficients.hoeffding_numerator(
+        _identity_like(r), r)),
+    "min_rank_sum": ("rs", lambda r: coefficients.min_rank_sum(r, 1)),
+    "symmetric_min_sum": ("rs", lambda r: coefficients.symmetric_min_sum(r, 1)),
+    "reflect_ranks": ("r", reflect_ranks),
+}
+
+
 class TestFastPathEquivalence:
     def test_identity_permutation(self):
         a, b = permutation_test_fast_path_equivalence([1, 2, 3], 1)
@@ -453,19 +476,23 @@ class TestFastPathEquivalence:
         np.array(["2001-01-02", "2001-01-01"], dtype="M8[D]"),
         np.array([(2,), (1,)], dtype=[("r", "i8")]),
         np.array([2, 1], dtype="m8[D]"),  # a duration is no rank
+        np.array([[1, 2]]), [],
     ], ids=repr)
-    @pytest.mark.parametrize("entry", [
-        lambda r: coefficients.xi_nm_from_ranks(r, None, 1),
-        lambda r: replicate_statistic_from_permutation(r, 1),
-        lambda r: permutation_test_fast_path_equivalence(r, 1),
-    ], ids=["xi_nm_from_ranks", "replicate_statistic", "fast_path_equivalence"])
+    @pytest.mark.parametrize("entry", RANK_ENTRIES.values(), ids=RANK_ENTRIES)
     def test_non_real_ranks_raise(self, entry, r):
-        with pytest.raises(SizeError, match=r"^r must be a permutation of 1\.\.n$"):
-            entry(r)
+        name, call = entry
+        with pytest.raises(SizeError, match=rf"^{name} must be a permutation of 1\.\.n$"):
+            call(r)
 
     @pytest.mark.parametrize("r", [[2, 1, 3], [2.0, 1.0, 3.0], np.array([2, 1, 3], np.int16),
                                    np.array([2, 1, 3], dtype=object)], ids=repr)
-    def test_real_ranks_accepted(self, r):
-        expected = replicate_statistic_from_permutation([2, 1, 3], 1)
-        assert replicate_statistic_from_permutation(r, 1) == expected
-        assert permutation_test_fast_path_equivalence(r, 1) == (expected, expected)
+    @pytest.mark.parametrize("entry", RANK_ENTRIES.values(), ids=RANK_ENTRIES)
+    def test_real_ranks_accepted(self, entry, r):
+        _, call = entry
+        got, expected = call(r), call([2, 1, 3])
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+        else:
+            assert got == expected
+        if isinstance(got, tuple):  # the fast path and the full pipeline agree
+            assert got[0] == got[1]

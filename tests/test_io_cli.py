@@ -127,6 +127,12 @@ class TestReportSerialization:
                              rows=[{"method": cells[1], "n": 10}, {"method": cells[2], "n": None}])
         assert report_from_csv(report_to_csv(report)) == report
 
+    def test_csv_blank_records_are_skipped(self):
+        report = self.make_report()
+        text = report_to_csv(report)
+        assert report_from_csv(text + "\n") == report
+        assert report_from_csv(text.replace("\nxi-pm", "\n\nxi-pm") + "\r\n\n") == report
+
     def test_csv_row_width_must_match_header(self):
         text = report_to_csv(self.make_report()).replace(",500\n", ",500,1\n", 1)
         with pytest.raises(ParseError, match="row width does not match header"):

@@ -54,9 +54,9 @@ from xiboost import (
     xi_pm,
     zeta,
 )
-from xiboost.coefficients import score_sample
+from xiboost.coefficients import min_rank_sum, score_sample, symmetric_min_sum
 from xiboost.dataio import report_to_json
-from xiboost.ranks import validate_count, validate_neighbor_count
+from xiboost.ranks import rank_dtype, validate_count, validate_neighbor_count, validate_ranks
 
 
 class TestComputeRanks:
@@ -171,10 +171,27 @@ class TestRightNeighbor:
             assert right_neighbor(ord_, i, 1) == int(ord_.order[p + 1]) + 1
 
 
+class TestValidateRanks:
+    @pytest.mark.parametrize("n, dtype", [(32767, np.int16), (32768, np.int32)])
+    def test_read_into_the_null_draws_dtype(self, n, dtype):
+        r = np.arange(n, 0, -1)
+        got = validate_ranks("r", r)
+        assert got.dtype == dtype == rank_dtype(n)
+        assert (got == r).all()
+
+
 class TestReflectRanks:
     def test_basic(self):
         assert reflect_ranks(np.array([1, 2, 3])).tolist() == [3, 2, 1]
         assert reflect_ranks(np.array([2, 1])).tolist() == [1, 2]
+
+    @pytest.mark.parametrize("n", [32767, 32768])
+    def test_int64_where_n_plus_1_leaves_the_row_dtype(self, n):
+        """n + 1 does not fit in int16 at n = 32767."""
+        for r in (np.arange(1, n + 1), np.arange(1, n + 1, dtype=rank_dtype(n))):
+            refl = reflect_ranks(r)
+            assert refl.dtype == np.int64
+            assert refl.tolist() == list(range(n, 0, -1))
 
     @given(st.permutations(list(range(1, 10))))
     def test_involution(self, perm):
@@ -377,6 +394,8 @@ M_ENTRY_POINTS = {
     "permutation_test_fast_path_equivalence": lambda M: permutation_test_fast_path_equivalence(
         RULE_RANKS, M),
     "score_sample": lambda M: score_sample(RULE_SAMPLE, Method.SYMMETRIC_NN, M),
+    "min_rank_sum": lambda M: min_rank_sum(RULE_RANKS, M),
+    "symmetric_min_sum": lambda M: symmetric_min_sum(RULE_RANKS, M),
     "PermutationTestConfig": lambda M: PermutationTestConfig(
         B=19, alpha=0.05, seed=3, method=Method.XI_PM, M=M),
     "permutation_test": lambda M: permutation_test(RULE_SAMPLE, PermutationTestConfig(
@@ -433,6 +452,10 @@ class TestNeighborCountRule:
                 validate_neighbor_count(10, M)
         with pytest.raises(MRangeError, match="got 10$"):
             validate_neighbor_count(10, 10.0)
+        for one_row in (min_rank_sum, symmetric_min_sum):  # read against the row's own n
+            for M in (-1, 0, 3):
+                with pytest.raises(MRangeError, match=rf"n-1 = 2, got {M}$"):
+                    one_row([2, 1, 3], M)
 
 
 def _power(**settings):

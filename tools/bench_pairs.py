@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of benchmark runs, the claim rule and the
-no-regression rule.
+"""Alternating parent/change pairs of benchmark runs, the claim rule, the
+no-regression rule and the trajectory of runs.
 
 Runs ``bench/run.py --workload W --seed S --seconds 15 --trace 0`` in two
 checkouts, N times each, alternating which side goes first, and prints every
@@ -22,23 +22,45 @@ parent run; else "ok". Each side's failed/attempted operations are printed;
 a run that reports ``correct: false`` counts at least one failed operation.
 The exit status is 1 when a run gave no result, a metric regressed, or the
 change failed a larger share than the parent. The metrics, their directions
-and bounds come from the change checkout's ``BENCHMARK.json``. Standard
-library only.
+and bounds come from the change checkout's ``BENCHMARK.json``.
+
+Every run, a failed one too, is appended to ``BENCH_<workload>.json`` at the
+change checkout's root: a JSON list with one entry per run, one per line,
+holding every JSON record the run printed, its side, its pair index, its
+order within the pair (0 or 1), the seed and both checkouts' source hashes
+(:func:`source_hash`), which tell apart two working trees as well as two
+commits. The file is written whole through a temporary file and a rename,
+so an interrupted write leaves the previous trajectory. Standard library
+only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SECONDS = 15
 WIN_SHARE = 0.9
+
+
+def parse_records(stdout: str) -> list:
+    """Every JSON record a benchmark run printed, in order; other lines are
+    left out."""
+    records = []
+    for line in stdout.splitlines():
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            pass
+    return records
 
 
 def parse_result(stdout: str):
@@ -49,6 +71,33 @@ def parse_result(stdout: str):
     except json.JSONDecodeError:
         return None
     return record if isinstance(record, dict) and "metrics" in record else None
+
+
+def source_hash(checkout: Path) -> str:
+    """The code a checkout runs: ``sha256:`` and a hash over the paths and
+    bytes of the files under src/ and bench/, compiled caches left out."""
+    digest = hashlib.sha256()
+    for path in sorted(p for top in ("src", "bench") for p in (checkout / top).rglob("*")
+                       if p.is_file() and "__pycache__" not in p.parts):
+        digest.update(path.relative_to(checkout).as_posix().encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return "sha256:" + digest.hexdigest()
+
+
+def append_trajectory(path: Path, entry: dict) -> None:
+    """Append `entry` to the JSON list in `path` (a new list when there is
+    no file), writing the file whole through a temporary file in its
+    directory and a rename. A write that fails leaves the old file as it
+    was and no temporary file behind."""
+    trajectory = json.loads(path.read_text()) if path.exists() else []
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "w") as f:  # one run per line
+            f.write("[\n" + ",\n".join(map(json.dumps, trajectory + [entry])) + "\n]\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def quartiles(values: list) -> tuple:
@@ -125,8 +174,9 @@ def format_summary(rows: list) -> str:
     return "\n".join(out)
 
 
-def run_once(checkout: Path, workload: str, seed: int):
-    """One benchmark run in `checkout`; its result record, or None."""
+def run_once(checkout: Path, workload: str, seed: int) -> tuple:
+    """One benchmark run in `checkout`: its result record, or None, and
+    every JSON record it printed."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
@@ -135,7 +185,7 @@ def run_once(checkout: Path, workload: str, seed: int):
     if record is None:
         print(f"  run in {checkout} gave no result (exit {proc.returncode}):\n"
               f"{proc.stderr[-2000:]}", file=sys.stderr)
-    return record
+    return record, parse_records(proc.stdout)
 
 
 def describe(side: str, index: int, record) -> str:
@@ -156,13 +206,18 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+    sources = {side: source_hash(getattr(args, side)) for side in ("parent", "change")}
+    trajectory = args.change / f"BENCH_{args.workload}.json"
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
-        for side in order:
-            got[side] = run_once(getattr(args, side), args.workload, args.seed)
+        for position, side in enumerate(order):
+            got[side], records = run_once(getattr(args, side), args.workload, args.seed)
             print(describe(side, i, got[side]), flush=True)
+            append_trajectory(trajectory, {
+                "workload": args.workload, "side": side, "pair": i, "order": position,
+                "seed": args.seed, "sources": sources, "records": records})
         if got["parent"] is not None and got["change"] is not None:
             pairs.append((got["parent"], got["change"]))
     print(f"\n{args.workload}, seed {args.seed}: {len(pairs)} complete pairs")
