@@ -171,6 +171,48 @@ def test_describe_prints_failed_over_attempted():
     assert bench_pairs.describe("parent", 3, None) == "pair 4 parent: no result"
 
 
+def fake_checkouts(tmp_path, monkeypatch, op_s):
+    """A change checkout at tmp_path / "change" holding only BENCHMARK.json,
+    and runs that return `op_s` in turn."""
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": name, "better": better, "bound": bound}
+        for name, (better, bound) in LOWER.items()]}))
+    runs = iter(op_s)
+    monkeypatch.setattr(bench_pairs, "source_hash", lambda checkout: checkout.name)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed: (
+        bench_pairs.parse_result(out := run_output(next(runs))),
+        bench_pairs.parse_records(out)))
+
+
+class TestGitWarning:
+    @pytest.mark.parametrize("git, warned", [
+        ((), None), (("parent",), "parent"), (("change",), "change"),
+        (("parent", "change"), None)])
+    def test_warns_when_exactly_one_checkout_holds_git(self, tmp_path, git, warned):
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        for side in git:
+            (tmp_path / side / ".git").mkdir()
+        warning = bench_pairs.git_warning(tmp_path / "parent", tmp_path / "change")
+        if warned is None:
+            assert warning == ""
+        else:
+            assert warning.startswith(f"warning: only the {warned} checkout holds .git")
+
+    def test_main_prints_it_before_the_runs_and_after_the_summary(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        fake_checkouts(tmp_path, monkeypatch, [0.12, 0.11])
+        (tmp_path / "change" / ".git").write_text("gitdir: elsewhere\n")  # a linked tree
+        assert bench_pairs.main(["--parent", str(tmp_path), "--change",
+                                 str(tmp_path / "change"), "--workload", "perm_test",
+                                 "--pairs", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        warning = bench_pairs.git_warning(tmp_path, tmp_path / "change")
+        assert warning and lines[0] == warning and lines[-1] == warning
+        assert sum(line == warning for line in lines) == 2
+
+
 class TestTrajectory:
     def entry(self, side, pair, op_s):
         return {"workload": "perm_test", "side": side, "pair": pair, "order": 0, "seed": 1,
@@ -213,15 +255,7 @@ class TestTrajectory:
         assert bench_pairs.source_hash(tmp_path) != source
 
     def test_main_appends_every_run(self, tmp_path, monkeypatch):
-        (tmp_path / "change").mkdir()
-        (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": name, "better": better, "bound": bound}
-            for name, (better, bound) in LOWER.items()]}))
-        runs = iter([0.12, 0.11, 0.11, 0.12])
-        monkeypatch.setattr(bench_pairs, "source_hash", lambda checkout: checkout.name)
-        monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed: (
-            bench_pairs.parse_result(out := run_output(next(runs))),
-            bench_pairs.parse_records(out)))
+        fake_checkouts(tmp_path, monkeypatch, [0.12, 0.11, 0.11, 0.12])
         assert bench_pairs.main(["--parent", str(tmp_path), "--change",
                                  str(tmp_path / "change"), "--workload", "perm_test",
                                  "--pairs", "2", "--seed", "3"]) == 0

@@ -1,9 +1,12 @@
-"""The vectorized loader against the line scanner it falls back to.
+"""The loader against a pure line-by-line reading of the same format.
 
-`load_sample` parses with one `np.loadtxt` pass and hands every file that pass
-cannot read exactly as the scanner would to `_scan_sample`. On any text the
-two must agree: bit-identical coordinates, or the same exception type and
-message.
+`load_sample` parses with one `np.loadtxt` pass over the file and hands every
+file that pass cannot read exactly as the scanner would to `_scan_sample`,
+which parses chunks of stripped lines with `np.loadtxt` and reads a chunk
+numpy refuses line by line through `float`. The reference is `_scan_sample`
+with numpy refusing every chunk: every line through `float`. On any text the
+loader, the scanner and the reference must agree: bit-identical coordinates,
+or the same exception type and message.
 """
 
 import io
@@ -39,8 +42,33 @@ def outcome(read, path):
     return s.x.tobytes(), s.y.tobytes()
 
 
+def line_by_line(path):
+    """`_scan_sample` with `np.loadtxt` refusing every chunk, so that each
+    line goes through `float`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataio, "_loadtxt", lambda source, delimiter, skiprows: None)
+        return _scan_sample(path)
+
+
 def assert_same(path):
-    assert outcome(load_sample, path) == outcome(_scan_sample, path)
+    reference = outcome(line_by_line, path)
+    assert outcome(load_sample, path) == reference
+    assert outcome(_scan_sample, path) == reference
+
+
+def chunk_tables(monkeypatch):
+    """Record, for each chunk `_scan_sample` hands to `np.loadtxt`, whether
+    numpy read it whole: a table of one row per line and two columns."""
+    read, loadtxt = [], dataio._loadtxt
+
+    def recording(source, delimiter, skiprows):
+        table = loadtxt(source, delimiter, skiprows)
+        if isinstance(source, list):
+            read.append(table is not None and table.shape == (len(source), 2))
+        return table
+
+    monkeypatch.setattr(dataio, "_loadtxt", recording)
+    return read
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -88,9 +116,11 @@ def data_files(draw):
 
 class TestLoaderMatchesScanner:
     @settings(max_examples=900, deadline=None)
-    @given(text=data_files())
-    def test_differential(self, tmp_path_factory, text):
-        assert_same(write(tmp_path_factory.mktemp("fuzz"), text))
+    @given(text=data_files(), chunk=st.sampled_from([1, 2, 3, dataio._CHUNK_LINES]))
+    def test_differential(self, tmp_path_factory, text, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "_CHUNK_LINES", chunk)
+            assert_same(write(tmp_path_factory.mktemp("fuzz"), text))
 
     def test_fast_path_taken_on_clean_files(self, tmp_path):
         for text in ["x,y\n1,2\n3,4\n", "\n\n 1 ,2\r\n3,4\r\n\n", "a\tb\n1\t2\n3\t4"]:
@@ -237,15 +267,13 @@ class TestLoaderMatchesScanner:
 
     @pytest.mark.parametrize("text", ["x,y\n1,2\n   \n3,4\n", "1\t2\t\n3\t4\n"])
     def test_stripped_lines_stay_on_numpy(self, tmp_path, monkeypatch, text):
-        # np.loadtxt(path) refuses these; its pass over the stripped lines reads them
+        # np.loadtxt(path) refuses these; the scanner's chunk of stripped lines
+        # is read by numpy, with no line through float
         p = write(tmp_path, text)
-        scanned = outcome(_scan_sample, p)
-
-        def refuse(path):
-            raise AssertionError("scanner reached")
-
-        monkeypatch.setattr(dataio, "_scan_sample", refuse)
-        assert outcome(load_sample, p) == scanned
+        reference = outcome(line_by_line, p)
+        read = chunk_tables(monkeypatch)
+        assert outcome(load_sample, p) == reference
+        assert read == [True]
 
     def test_format_error_then_bad_byte_names_the_byte(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -271,6 +299,99 @@ class TestLoaderMatchesScanner:
         s = load_sample(write(tmp_path, "1,2\n3,4\n5,6\n"))
         assert s.x.flags.c_contiguous and s.y.flags.c_contiguous
         assert np.array_equal(s.y, [2.0, 4.0, 6.0])
+
+
+class TestChunks:
+    """`_scan_sample` across chunk boundaries, with chunks of a few lines."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_LINES", 3)
+
+    def test_header_fills_the_first_chunk_alone(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_CHUNK_LINES", 1)
+        p = write(tmp_path, "\nx,y\n1,2\n\n3,4\n5,6\n")
+        read = chunk_tables(monkeypatch)
+        assert _scan_sample(p).y.tolist() == [2.0, 4.0, 6.0]
+        assert read[-3:] == [True, True, True]  # one chunk per row, after the header's
+        assert_same(p)
+
+    @pytest.mark.parametrize("bad, line, column", [
+        ("oops,2", 5, 1),   # the first line of the second chunk
+        ("1,oops", 7, 2),   # its last line
+        ("1,2,3", 7, 3),
+    ])
+    def test_bad_cell_at_a_chunk_edge(self, tmp_path, bad, line, column):
+        # lines 1-3 are the first chunk, header included; line 4 is blank
+        lines = ["x,y", "1,2", "3,4", "", "5,6", "7,8", "9,10", "11,12"]
+        lines[line - 1] = bad
+        p = write(tmp_path, "\n".join(lines) + "\n")
+        assert_same(p)
+        with pytest.raises(ParseError) as exc:
+            _scan_sample(p)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
+    def test_refused_chunk_between_clean_chunks(self, tmp_path, monkeypatch):
+        p = write(tmp_path, "1,2\n3,4\n5,6\n1_0,8\n9,\u0661\n11,12\n13,14\n")
+        assert_same(p)
+        read = chunk_tables(monkeypatch)
+        s = load_sample(p)
+        assert s.x.tolist() == [1.0, 3.0, 5.0, 10.0, 9.0, 11.0, 13.0]
+        assert s.y.tolist() == [2.0, 4.0, 6.0, 8.0, 1.0, 12.0, 14.0]
+        assert read == [True, False, True]
+
+    def test_format_error_then_bad_byte_in_a_later_chunk(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1,2\n3,oops\n5,6\n7,8\n9,10\n11,\xff\n")
+        assert_same(p)
+        with pytest.raises(ParseError) as exc:
+            load_sample(p)
+        assert str(exc.value) == "line 6, column 4: byte 0xff is not UTF-8"
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_of_several_chunks(self, monkeypatch):
+        r, w = os.pipe()
+        try:
+            os.write(w, b"x,y\n" + rows_text(8).encode())
+            os.close(w)
+            read = chunk_tables(monkeypatch)
+            s = load_sample(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert s.x.tolist() == list(range(8)) and s.y.tolist() == [i + 0.5 for i in range(8)]
+        assert read == [True, True, True]
+
+
+@pytest.mark.parametrize("text", [
+    "x,y\n" + rows_text(20) + "1,oops\n",   # a bad last cell
+    "x,y\n" + rows_text(20) + "   \n",      # a whitespace-only last line
+    "1_0,2\n" + rows_text(20),              # a value only float reads
+    "x,y\n1,oops\n" + rows_text(20) + "5,\udcff\n",  # a format error, then a bad byte
+    "x,y\n1,2,3\n" + rows_text(20),        # a wrong width
+])
+def test_a_declined_file_is_read_twice_at_most(tmp_path, monkeypatch, text):
+    """`np.loadtxt` parses the path at most once, and `_lines` opens the file
+    at most twice: the pre-scan, then the scanner's one pass."""
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode("utf-8", "surrogateescape"))
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", 4)
+    reference = outcome(line_by_line, p)
+    paths, opens = [], []
+    loadtxt, lines = np.loadtxt, dataio._lines
+
+    def counted_loadtxt(source, *args, **kwargs):
+        if not isinstance(source, list):
+            paths.append(source)
+        return loadtxt(source, *args, **kwargs)
+
+    def counted_lines(path):
+        opens.append(path)
+        return lines(path)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(dataio, "_lines", counted_lines)
+    assert outcome(load_sample, p) == reference
+    assert len(paths) <= 1 and len(opens) <= 2
 
 
 def test_no_scipy_import_on_cli_path(tmp_path):

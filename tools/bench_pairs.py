@@ -4,9 +4,12 @@ no-regression rule and the trajectory of runs.
 
 Runs ``bench/run.py --workload W --seed S --seconds 15 --trace 0`` in two
 checkouts, N times each, alternating which side goes first, and prints every
-run and a summary per end-to-end metric:
+run and a summary per end-to-end metric. Compare two plain copies, made with
+``git archive``; when exactly one checkout holds ``.git`` a warning is
+printed before the runs and again after the summary, since the same tree
+has read perm_test peak_rss_mb about 1% higher from a git working tree:
 
-    python3 tools/bench_pairs.py --parent ../parent --change . \\
+    python3 tools/bench_pairs.py --parent ../parent --change ../change \\
         --workload perm_test --pairs 10 --seed 1
 
 A pair is won when the change's value is better than the parent's and tied
@@ -174,6 +177,18 @@ def format_summary(rows: list) -> str:
     return "\n".join(out)
 
 
+def git_warning(parent: Path, change: Path) -> str:
+    """A warning when exactly one of the two checkouts holds ``.git``, else
+    the empty string."""
+    with_git = [side for side, checkout in (("parent", parent), ("change", change))
+                if (checkout / ".git").exists()]
+    if len(with_git) != 1:
+        return ""
+    return (f"warning: only the {with_git[0]} checkout holds .git; the same tree has read "
+            "perm_test peak_rss_mb about 1% higher from a git working tree than from a "
+            "plain copy, so compare two plain copies (git archive)")
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> tuple:
     """One benchmark run in `checkout`: its result record, or None, and
     every JSON record it printed."""
@@ -208,6 +223,9 @@ def main(argv=None) -> int:
     metrics = {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
     sources = {side: source_hash(getattr(args, side)) for side in ("parent", "change")}
     trajectory = args.change / f"BENCH_{args.workload}.json"
+    warning = git_warning(args.parent, args.change)
+    if warning:
+        print(warning, flush=True)
     pairs = []
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -226,6 +244,8 @@ def main(argv=None) -> int:
     shares = [failed_share([pair[i] for pair in pairs]) for i in (0, 1)]
     for side, (failed, attempted) in zip(("parent", "change"), shares):
         print(f"{side} failed/attempted: {failed}/{attempted}")
+    if warning:
+        print(warning)
     return 0 if len(pairs) == args.pairs and not regression_found(rows, *shares) else 1
 
 
