@@ -59,7 +59,7 @@ def _float_list(text: str) -> list:
 
 
 def _name_list(text: str) -> list:
-    return [tok.strip() for tok in text.split(",")]
+    return _comma_list(text, str.strip, "method names")
 
 
 # power-study settings by lowercased config key: the PowerStudyConfig field,
@@ -250,6 +250,8 @@ def _run_boundary(parser, args) -> int:
             parser.error("--gamma-grid must look like START:STOP:STEP")
         if step <= 0:
             parser.error("--gamma-grid step must be positive")
+        if stop < start:
+            parser.error("--gamma-grid stop must not be below start")
         lines.append("gamma,beta")
         for k in range((stop - start) // step + 1):
             g = start + k * step

@@ -1,12 +1,13 @@
 """File ingestion and report serialization.
 
-Datasets are two-column CSV (comma or tab, optional header). Data and config
-files are read line by line through one stream, `_lines`; none is held whole.
-Reports round trip losslessly: JSON keeps native types, CSV writes floats
-with 17 significant digits and a decimal marker so numeric values re-parse
-exactly, and quotes a text cell only where the csv module must. CSV cells
-are untyped, so text that reads as a number comes back as that number, and
-empty text as None.
+Datasets are two-column CSV (comma or tab, optional header). This module
+opens each data or config file once and reads it line by line, or a data
+file in chunks of lines; none is held whole. ``np.loadtxt`` opens a regular
+data file's path once more. Reports round trip losslessly: JSON keeps
+native types, CSV writes floats with 17 significant digits and a decimal
+marker so numeric values re-parse exactly, and quotes a text cell only where
+the csv module must. CSV cells are untyped, so text that reads as a number
+comes back as that number, and empty text as None.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import io
 import json
 import warnings
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .errors import ConfigError, ParseError, SizeError
 from .ranks import Sample
@@ -24,11 +25,13 @@ from .simulation import StudyReport
 
 import numpy as np
 
-# np.loadtxt decompresses a file whose name ends in one of these; the line
-# scanner reads every file as text.
+# np.loadtxt decompresses a file whose name ends in one of these; load_sample
+# reads every file as text.
 _LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# Stripped nonblank lines per np.loadtxt parse of the line scanner. 2^12 to
-# 2^16 read a 1e6-row file alike in time, but 2^16 peaked 11 MB higher.
+# Raw lines per np.loadtxt parse of a file the path parse does not read. On a
+# 1e6-row file with a whitespace-only last line, or one every 1000 rows, the
+# coef CLI peaked at 76.6 or 70.1 MB with 2^12, 70.4 or 75.9 MB with 2^14 and
+# 74.7 or 86.3 MB with 2^16, in times alike.
 _CHUNK_LINES = 2 ** 14
 
 
@@ -47,23 +50,22 @@ def _head(line: str) -> tuple[str, bool]:
     return delimiter, not any(_parses(f) for f in line.split(delimiter))
 
 
-def _lines(path: Union[str, Path]) -> Iterator[tuple[int, str]]:
-    """The 1-based number and the stripped text of each nonblank line of
-    `path`, read in the text mode ``np.loadtxt(path)`` reads in: UTF-8 less a
-    leading byte order mark, a line ending at "\\n", "\\r\\n" or "\\r". A
-    byte that is not UTF-8, on any line, raises :class:`ParseError` naming
-    its line and, counted in characters after any byte order mark, its
-    column."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.isascii():  # surrogateescape maps byte b to U+DC00 + b
-                bad = next((i for i, ch in enumerate(line) if "\udc80" <= ch <= "\udcff"), None)
-                if bad is not None:
-                    raise ParseError(lineno, bad + 1,
-                                     f"byte 0x{ord(line[bad]) - 0xdc00:02x} is not UTF-8")
-            line = line.strip()
-            if line:
-                yield lineno, line
+def _lines(lines: Iterable[str], first: int) -> Iterator[tuple[int, str]]:
+    """The number, counted from `first`, and the stripped text of each
+    nonblank line of `lines`, which come from a file opened in the text mode
+    ``np.loadtxt(path)`` reads in (UTF-8 less a leading byte order mark, a
+    line ending at "\\n", "\\r\\n" or "\\r"), with "surrogateescape" errors.
+    A byte that is not UTF-8 raises :class:`ParseError` naming its line and,
+    counted in characters after any byte order mark, its column."""
+    for lineno, line in enumerate(lines, start=first):
+        if not line.isascii():  # surrogateescape maps byte b to U+DC00 + b
+            bad = next((i for i, ch in enumerate(line) if "\udc80" <= ch <= "\udcff"), None)
+            if bad is not None:
+                raise ParseError(lineno, bad + 1,
+                                 f"byte 0x{ord(line[bad]) - 0xdc00:02x} is not UTF-8")
+        line = line.strip()
+        if line:
+            yield lineno, line
 
 
 def load_sample(path: Union[str, Path]) -> Sample:
@@ -80,81 +82,67 @@ def load_sample(path: Union[str, Path]) -> Sample:
     tie, naming the coordinate and the two lowest 0-based data rows, while
     Pearson's r accepts it.
 
-    No file is read more than twice. The rows after the header are one
-    ``np.loadtxt`` parse of the file, unless it refuses them (a
+    The file is opened once and read through its first nonblank line, which
+    gives the delimiter and the header. The rows after it are then one
+    ``np.loadtxt`` parse of the path, unless numpy refuses them (a
     whitespace-only line, say) or could read the text differently (a wrong
-    shape, fewer than 2 rows, a name it would decompress, or a pipe, which
-    can be read only once). Then the line scanner reads them in one more
-    pass, with the same values; it is the one source of the
-    :class:`ParseError` line and column and of the :class:`SizeError`. A
-    file that is not UTF-8 raises :class:`ParseError` at the line of its
-    first bad byte, wherever a format error lies.
+    width, fewer than 2 rows, a name it would decompress, or a pipe, which
+    can be read only once). Then the rest of the open file is read in chunks
+    of `_CHUNK_LINES` raw lines, each one ``np.loadtxt`` parse. A chunk numpy
+    refuses, or reads at a width other than 2, is stripped line by line, with
+    blank lines dropped, and parsed by numpy once more; only where numpy
+    refuses that too, or reads other than one row of 2 per line, are its
+    lines read through ``float``, with the same values. That reading is the
+    one source of the :class:`ParseError` line and column. A byte that is
+    not UTF-8 makes numpy refuse its chunk, and a file that holds one raises
+    :class:`ParseError` at the line of its first bad byte, wherever a format
+    error lies.
     """
-    sample = _load_vectorized(path)
-    return sample if sample is not None else _scan_sample(path)
+    tables = []
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
+        # a bad byte up to the first nonblank line is the file's first
+        head = next(_lines(f, 1), None)
+        if head is not None:
+            lineno, line = head
+            delimiter, header = _head(line)
+            path = Path(path)
+            if path.is_file() and path.suffix not in _LOADTXT_DECOMPRESSED:
+                table = _loadtxt(path, delimiter, lineno - 1 + header)
+                if table is not None and table.shape[1] == 2 and table.shape[0] >= 2:
+                    return Sample(*table.T.copy())
+            rest = f if header else chain([line], f)
+            lineno += header
+            while chunk := list(islice(rest, _CHUNK_LINES)):
+                table = _loadtxt(chunk, delimiter, 0)
+                if table is None or table.shape[1] != 2:
+                    lines = list(_lines(chunk, lineno))  # a bad byte here is the file's first
+                    table = _loadtxt([line for _, line in lines], delimiter, 0)
+                    if table is None or table.shape != (len(lines), 2):
+                        try:
+                            table = _float_rows(lines, delimiter)
+                        except ParseError:
+                            for _ in _lines(f, lineno + len(chunk)):
+                                pass  # a bad byte later in the file is the error named
+                            raise
+                tables.append(table)
+                lineno += len(chunk)
+    rows = sum(map(len, tables))
+    if rows < 2:
+        raise SizeError(f"need at least 2 data rows, found {rows}")
+    return Sample(*(np.concatenate([table[:, i] for table in tables]) for i in (0, 1)))
 
 
 def _loadtxt(source, delimiter: str, skiprows: int) -> Optional[np.ndarray]:
     """The rows of `source`, a path or a list of lines, from one
     ``np.loadtxt`` parse, or None where it refuses them."""
     with warnings.catch_warnings():
-        # a header followed by blank lines only; the scanner raises SizeError
+        # a header followed by blank lines only, or a chunk of blank lines
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(source, dtype=np.float64, comments=None, delimiter=delimiter,
                               skiprows=skiprows, ndmin=2, encoding="utf-8-sig")
         except ValueError:
             return None
-
-
-def _load_vectorized(path: Union[str, Path]) -> Optional[Sample]:
-    """The sample from one ``np.loadtxt`` parse of `path`, or None for the scanner."""
-    path = Path(path)
-    if not path.is_file() or path.suffix in _LOADTXT_DECOMPRESSED:
-        return None  # a pipe cannot be read twice
-    head = _pre_scan(path)
-    table = None if head is None else _loadtxt(path, *head)
-    if table is None or table.shape[1] != 2 or table.shape[0] < 2:
-        return None
-    return Sample(*table.T.copy())
-
-
-def _pre_scan(path: Path) -> Optional[tuple[str, int]]:
-    """The delimiter and the count of lines before the first data row, read
-    through the first nonblank line only. None, for the scanner to decide,
-    when no line is nonblank or a byte read is not UTF-8."""
-    try:
-        lineno, line = next(_lines(path))
-    except (StopIteration, ParseError):
-        return None  # the scanner names the line and column of a bad byte
-    delimiter, header = _head(line)
-    return delimiter, lineno - 1 + header
-
-
-def _scan_sample(path: Union[str, Path]) -> Sample:
-    """:func:`load_sample`'s format in one pass over the stripped nonblank
-    lines: one ``np.loadtxt`` parse per chunk of `_CHUNK_LINES`, or
-    :func:`_float_rows` where numpy refuses it or reads a width other than 2."""
-    tables = []
-    delimiter = None
-    lines = _lines(path)
-    try:
-        while chunk := list(islice(lines, _CHUNK_LINES)):
-            if delimiter is None:
-                delimiter, header = _head(chunk[0][1])
-                del chunk[:header]
-            table = _loadtxt([line for _, line in chunk], delimiter, 0)
-            if table is None or table.shape != (len(chunk), 2):
-                table = _float_rows(chunk, delimiter)
-            tables.append(table)
-    except ParseError:
-        for _ in lines:  # a bad byte later in the file is the error named
-            pass
-        raise
-    rows = sum(map(len, tables))
-    if rows < 2:
-        raise SizeError(f"need at least 2 data rows, found {rows}")
-    return Sample(*(np.concatenate([table[:, i] for table in tables]) for i in (0, 1)))
 
 
 def _float_rows(chunk: list, delimiter: str) -> np.ndarray:
@@ -295,17 +283,18 @@ def parse_config_file(path: Union[str, Path]) -> dict:
     """Read a key=value file mirroring CLI flags, with :func:`load_sample`'s
     encoding and line rule; '#' starts a comment."""
     out: dict = {}
-    lines = _lines(path)
-    try:
-        for lineno, line in lines:
-            if line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ParseError(lineno, 1, f"expected key=value, got {line!r}")
-            out[key.strip().replace("-", "_")] = value.strip()
-    except ParseError:
-        for _ in lines:  # a bad byte later in the file is the error named
-            pass
-        raise
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
+        lines = _lines(f, 1)
+        try:
+            for lineno, line in lines:
+                if line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ParseError(lineno, 1, f"expected key=value, got {line!r}")
+                out[key.strip().replace("-", "_")] = value.strip()
+        except ParseError:
+            for _ in lines:  # a bad byte later in the file is the error named
+                pass
+            raise
     return out

@@ -276,9 +276,10 @@ class TestCli:
         ("test --method xi-pm -M 2 -B 9 {data}", "XI_BOOST_SEED='abc' is not an integer"),
         ("boundary --gamma-grid 0.1:0.9", "--gamma-grid must look like START:STOP:STEP"),
         ("boundary --gamma-grid 0.1:0.9:0", "--gamma-grid step must be positive"),
+        ("boundary --gamma-grid 0.5:0.1:0.1", "--gamma-grid stop must not be below start"),
         ("boundary --n 100", "boundary needs --gamma-grid or both --n and --M-values"),
     ], ids=["seed-env-not-int", "boundary-grid-shape", "boundary-grid-step",
-            "boundary-nothing"])
+            "boundary-grid-stop", "boundary-nothing"])
     def test_usage_error_messages_exit_2(self, capsys, monkeypatch, data_file, argv, message):
         monkeypatch.setenv("XI_BOOST_SEED", "abc")
         assert cli_dispatch(argv.format(data=data_file).split()) == 2
@@ -427,7 +428,16 @@ class TestCli:
                        "seed=5\nworkers=2\n")
         assert cli_dispatch(["power-study", "--config", str(cfg), "--replicates", "7",
                              "--methods", "symmetric-nn,pearson"]) == 0
-        assert built == [
+        # a blank method name, after a trailing comma, is dropped like a blank number
+        cfg.write_text("methods=hoeffding-d,\nseed=5\n")
+        assert cli_dispatch(["power-study", "--config", str(cfg)]) == 0
+        assert cli_dispatch(["power-study", "--methods", "xi-pm, pearson,", "--seed", "1"]) == 0
+        assert built[2:] == [
+            PowerStudyConfig(n_values=[1000], M_values=[1, 20],
+                             rho0_values=[0.0, 1.0, 2.0, 5.0], methods=methods,
+                             replicates=500, B=999, alpha=0.05, master_seed=seed, workers=1)
+            for methods, seed in [(["hoeffding-d"], 5), (["xi-pm", "pearson"], 1)]]
+        assert built[:2] == [
             PowerStudyConfig(n_values=[1000], M_values=[1, 20],
                              rho0_values=[0.0, 1.0, 2.0, 5.0], methods=["xi-pm"],
                              replicates=500, B=999, alpha=0.05, master_seed=1, workers=1),
