@@ -260,9 +260,10 @@ def xi_fraction_from_min_sum(S: int, n: int, M: int) -> Fraction:
 def _score_row(rs: np.ndarray, method: Method,
                M: Optional[int] = None) -> tuple[CoefficientValue, int]:
     """:func:`score_sample` of a row of y-ranks already in ascending-x order."""
+    method = validate_method(method, tuple(Method), "coefficient")
     spec = METHODS[method]
     if spec.score is None:
-        raise ConfigError(f"method {Method(method).value} has no rank score; use pearson_r")
+        raise ConfigError(f"method {method.value} has no rank score; use pearson_r")
     n = rs.size
     M = validate_method_m(method, n, M)
     score = int(spec.score(rs[None], M)[0])
@@ -272,9 +273,10 @@ def _score_row(rs: np.ndarray, method: Method,
 def score_sample(s: Sample, method: Method,
                  M: Optional[int] = None) -> tuple[CoefficientValue, int]:
     """The coefficient of a rank method of :data:`METHODS` and its exact
-    integer score: orders the sample (so a tie is reported before M or n is
-    checked), reads M by :func:`validate_method_m`, scores the one row as a
-    batch of one and scales the score."""
+    integer score: orders the sample (so a tie is reported before the method,
+    M or n is checked), reads the method by :func:`validate_method` and M by
+    :func:`validate_method_m`, scores the one row as a batch of one and
+    scales the score."""
     return _score_row(sorted_y_ranks(s), method, M)
 
 
@@ -588,7 +590,7 @@ def validate_method_m(method: Method, n: Optional[int], M) -> Optional[int]:
     needs_m = METHODS[method].needs_m
     if needs_m != (M is not None):
         verb = "requires" if needs_m else "does not take"
-        raise ConfigError(f"method {Method(method).value} {verb} M")
+        raise ConfigError(f"method {method.value} {verb} M")
     return validate_neighbor_count(n, M) if needs_m else None
 
 

@@ -28,10 +28,10 @@ import numpy as np
 # np.loadtxt decompresses a file whose name ends in one of these; load_sample
 # reads every file as text.
 _LOADTXT_DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# Raw lines per np.loadtxt parse of a file the path parse does not read. On a
+# Lines per np.loadtxt parse of a file the path parse does not read. On a
 # 1e6-row file with a whitespace-only last line, or one every 1000 rows, the
-# coef CLI peaked at 76.6 or 70.1 MB with 2^12, 70.4 or 75.9 MB with 2^14 and
-# 74.7 or 86.3 MB with 2^16, in times alike.
+# coef CLI peaked at 76.6 or 69.0 MB with 2^12, 70.4 or 70.1 MB with 2^14 and
+# 71.0 or 70.0 MB with 2^16, in times alike.
 _CHUNK_LINES = 2 ** 14
 
 
@@ -88,15 +88,14 @@ def load_sample(path: Union[str, Path]) -> Sample:
     whitespace-only line, say) or could read the text differently (a wrong
     width, fewer than 2 rows, a name it would decompress, or a pipe, which
     can be read only once). Then the rest of the open file is read in chunks
-    of `_CHUNK_LINES` raw lines, each one ``np.loadtxt`` parse. A chunk numpy
-    refuses, or reads at a width other than 2, is stripped line by line, with
-    blank lines dropped, and parsed by numpy once more; only where numpy
-    refuses that too, or reads other than one row of 2 per line, are its
-    lines read through ``float``, with the same values. That reading is the
-    one source of the :class:`ParseError` line and column. A byte that is
-    not UTF-8 makes numpy refuse its chunk, and a file that holds one raises
-    :class:`ParseError` at the line of its first bad byte, wherever a format
-    error lies.
+    of `_CHUNK_LINES` lines, and numpy parses each chunk once, its lines
+    stripped: it skips the empty strings that blank lines become and reads
+    one row from each other line. Only a chunk numpy refuses, or reads at a
+    width other than 2, is read line by line through ``float``, with the
+    same values. That reading is the one source of the :class:`ParseError`
+    line and column. A byte that is not UTF-8 makes numpy refuse its chunk,
+    and a file that holds one raises :class:`ParseError` at the line of its
+    first bad byte, wherever a format error lies.
     """
     tables = []
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as f:
@@ -113,17 +112,15 @@ def load_sample(path: Union[str, Path]) -> Sample:
             rest = f if header else chain([line], f)
             lineno += header
             while chunk := list(islice(rest, _CHUNK_LINES)):
-                table = _loadtxt(chunk, delimiter, 0)
+                table = _loadtxt(map(str.strip, chunk), delimiter, 0)
                 if table is None or table.shape[1] != 2:
                     lines = list(_lines(chunk, lineno))  # a bad byte here is the file's first
-                    table = _loadtxt([line for _, line in lines], delimiter, 0)
-                    if table is None or table.shape != (len(lines), 2):
-                        try:
-                            table = _float_rows(lines, delimiter)
-                        except ParseError:
-                            for _ in _lines(f, lineno + len(chunk)):
-                                pass  # a bad byte later in the file is the error named
-                            raise
+                    try:
+                        table = _float_rows(lines, delimiter)
+                    except ParseError:
+                        for _ in _lines(f, lineno + len(chunk)):
+                            pass  # a bad byte later in the file is the error named
+                        raise
                 tables.append(table)
                 lineno += len(chunk)
     rows = sum(map(len, tables))
@@ -133,7 +130,7 @@ def load_sample(path: Union[str, Path]) -> Sample:
 
 
 def _loadtxt(source, delimiter: str, skiprows: int) -> Optional[np.ndarray]:
-    """The rows of `source`, a path or a list of lines, from one
+    """The rows of `source`, a path or an iterable of lines, from one
     ``np.loadtxt`` parse, or None where it refuses them."""
     with warnings.catch_warnings():
         # a header followed by blank lines only, or a chunk of blank lines

@@ -594,11 +594,21 @@ class TestMethodTable:
         assert {m for m in Method if METHODS[m].tested} == {
             Method.XI_PM, Method.SYMMETRIC_NN, Method.HOEFFDING_D}
 
-    @pytest.mark.parametrize("method", [Method.PEARSON, "pearson"], ids=["enum", "name"])
-    def test_score_sample_of_pearson_names_the_method(self, method):
+    @pytest.mark.parametrize("method, M, message", [
+        (Method.PEARSON, None, "method pearson has no rank score; use pearson_r"),
+        ("pearson", None, "method pearson has no rank score; use pearson_r"),
+        ("bogus", 2, "method bogus has no coefficient; choose from xi-classic,xi-nm,"
+                     "xi-nm-reflected,xi-pm,symmetric-nn,pearson,hoeffding-d"),
+        ("xi-nm", 2, None),
+    ], ids=["enum", "name", "unknown", "rank-name"])
+    def test_score_sample_names_the_method(self, method, M, message):
+        """A method given by name is read as its :class:`Method`."""
         s = Sample([1.0, 2.0, 3.0], [1.0, 3.0, 2.0])
-        with pytest.raises(ConfigError, match="^method pearson has no rank score; use pearson_r$"):
-            score_sample(s, method)
+        if message is None:
+            assert score_sample(s, method, M)[0].method is Method(method)
+            return
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            score_sample(s, method, M)
 
     @pytest.mark.parametrize("method, M, message", [
         (Method.HOEFFDING_D, 7, "method hoeffding-d does not take M"),

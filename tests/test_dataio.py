@@ -4,10 +4,9 @@
 for the delimiter and the header. It parses the rows after it with one
 `np.loadtxt` pass over the path, or, where that pass cannot read them exactly
 as a line-by-line reading would, reads the rest of the open file in chunks of
-raw lines, one `np.loadtxt` parse each. A chunk numpy refuses is stripped line
-by line and parsed by numpy once more, and read through `float` only where
-numpy refuses that too. The reference is `load_sample` with numpy refusing
-every parse: every line through `float`. On any text the loader, the loader
+lines, one `np.loadtxt` parse of each chunk's stripped lines. A chunk numpy
+refuses is read through `float`. The reference is `load_sample` with numpy
+refusing every parse: every line through `float`. On any text the loader, the loader
 with the path pass refused (the chunks alone) and the reference must agree:
 bit-identical coordinates, or the same exception type and message, which
 names the line and column.
@@ -58,11 +57,11 @@ def line_by_line(path):
 
 def chunked(path):
     """`load_sample` with `np.loadtxt` refusing the path, so that the chunks
-    of raw lines read every row."""
+    read every row."""
     loadtxt = dataio._loadtxt
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataio, "_loadtxt", lambda source, delimiter, skiprows:
-                   loadtxt(source, delimiter, skiprows) if isinstance(source, list) else None)
+                   None if isinstance(source, Path) else loadtxt(source, delimiter, skiprows))
         return load_sample(path)
 
 
@@ -74,20 +73,16 @@ def assert_same(path):
 
 def chunk_tables(monkeypatch):
     """Record what `load_sample` parses: `paths`, the (delimiter, skiprows) of
-    each `np.loadtxt` parse of the path; `chunks`, for each chunk of raw
-    lines, whether numpy read it at width 2; `stripped`, for each refused
-    chunk's stripped nonblank lines, whether numpy read one row of 2 from
-    each; `floated`, the number of each line read through `float` by
-    `_float_rows`."""
-    reads = SimpleNamespace(paths=[], chunks=[], stripped=[], floated=[])
+    each `np.loadtxt` parse of the path; `chunks`, for each chunk of lines,
+    whether numpy read it at width 2; `floated`, the number of each line read
+    through `float` by `_float_rows`."""
+    reads = SimpleNamespace(paths=[], chunks=[], floated=[])
     loadtxt, float_rows = dataio._loadtxt, dataio._float_rows
 
     def recording_loadtxt(source, delimiter, skiprows):
         table = loadtxt(source, delimiter, skiprows)
-        if not isinstance(source, list):
+        if isinstance(source, Path):
             reads.paths.append((delimiter, skiprows))
-        elif reads.chunks.count(False) > len(reads.stripped):  # a refused chunk, stripped
-            reads.stripped.append(table is not None and table.shape == (len(source), 2))
         else:
             reads.chunks.append(table is not None and table.shape[1] == 2)
         return table
@@ -268,7 +263,6 @@ class TestLoaderMatchesScanner:
         assert str(exc.value) == "line 100002, column 3: expected 2 columns, found 3"
         assert reads.paths == [(",", 1)]
         assert reads.chunks[:6] == [True] * 6 and reads.chunks[6:] == [False]
-        assert reads.stripped == [False]
         assert reads.floated == list(range(6 * 2 ** 14 + 2, 100_003))
 
     def test_bad_byte_deep_in_the_file(self, tmp_path, monkeypatch):
@@ -282,7 +276,7 @@ class TestLoaderMatchesScanner:
         assert (exc.value.line, exc.value.column) == (100_002, 3)
         # np.loadtxt meets the byte and fails, and so does the chunk holding it
         assert reads.paths == [(",", 1)] and reads.chunks == [True] * 6 + [False]
-        assert reads.stripped == reads.floated == []
+        assert reads.floated == []
 
     def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch):
         p = write(tmp_path, "\ufeffx,y\n1,2\n3,4\n")
@@ -307,20 +301,20 @@ class TestLoaderMatchesScanner:
         assert load_sample(p).y.tolist() == [2.0, 4.0]
         assert reads.paths == [("\t", 4 * (2 ** 20 // 5) + 1)] and reads.chunks == []
 
-    @pytest.mark.parametrize("text, chunks, stripped", [
-        ("x,y\n1,2\n   \n3,4\n", [False], [True]),
-        ("1\t2\t\n3\t4\t\n", [False], [True]),
-        ("1\t2\t\n3\t4\n", [True], []),  # the first line is read stripped
+    @pytest.mark.parametrize("text", [
+        "x,y\n1,2\n   \n3,4\n",
+        "1\t2\t\n3\t4\t\n",
+        "1\t2\t\n3\t4\n",  # the first line is stripped before the chunks
     ], ids=["blank", "tabs", "first-tab"])
-    def test_stripped_lines_stay_on_numpy(self, tmp_path, monkeypatch, text, chunks, stripped):
-        # np.loadtxt(path) refuses each file; numpy reads the chunk, raw or
-        # stripped, with no line through float
+    def test_stripped_lines_stay_on_numpy(self, tmp_path, monkeypatch, text):
+        # np.loadtxt(path) refuses each file; numpy reads the chunk's stripped
+        # lines, with no line through float
         p = write(tmp_path, text)
         reference = outcome(line_by_line, p)
         reads = chunk_tables(monkeypatch)
         assert outcome(load_sample, p) == reference
         assert len(reads.paths) == 1
-        assert (reads.chunks, reads.stripped, reads.floated) == (chunks, stripped, [])
+        assert (reads.chunks, reads.floated) == ([True], [])
 
     def test_format_error_then_bad_byte_names_the_byte(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -361,10 +355,9 @@ class TestChunks:
         assert_same(p)
         reads = chunk_tables(monkeypatch)
         assert chunked(p).y.tolist() == [2.0, 4.0, 6.0]
-        # the header is read before the chunks; numpy reads a blank chunk at
-        # width 1, and its stripped lines, none, at width 1 too
-        assert reads.chunks == [True, False, True, True] and reads.stripped == [False]
-        assert reads.floated == []
+        # the header is read before the chunks; numpy reads a blank chunk, its
+        # one line stripped to nothing, at width 1, and float reads no line of it
+        assert reads.chunks == [True, False, True, True] and reads.floated == []
 
     @pytest.mark.parametrize("bad, line, column", [
         ("oops,2", 5, 1),   # the first line of the second chunk
@@ -381,8 +374,7 @@ class TestChunks:
         with pytest.raises(ParseError) as exc:
             load_sample(p)
         assert (exc.value.line, exc.value.column) == (line, column)
-        assert reads.chunks == [True, False] and reads.stripped == [False]
-        assert reads.floated == [5, 6, 7]
+        assert reads.chunks == [True, False] and reads.floated == [5, 6, 7]
 
     @pytest.mark.parametrize("first, line, column", [
         ("1,oops", 1, 2),
@@ -398,7 +390,7 @@ class TestChunks:
         with pytest.raises(ParseError) as exc:
             load_sample(p)
         assert (exc.value.line, exc.value.column) == (line, column)
-        assert reads.chunks == reads.stripped == [False] and reads.floated[0] == line
+        assert reads.chunks == [False] and reads.floated[0] == line
 
     def test_refused_chunk_between_clean_chunks(self, tmp_path, monkeypatch):
         p = write(tmp_path, "1,2\n3,4\n5,6\n1_0,8\n9,\u0661\n11,12\n13,14\n")
@@ -408,17 +400,15 @@ class TestChunks:
         assert s.x.tolist() == [1.0, 3.0, 5.0, 10.0, 9.0, 11.0, 13.0]
         assert s.y.tolist() == [2.0, 4.0, 6.0, 8.0, 1.0, 12.0, 14.0]
         # the clean chunks are numpy's alone
-        assert reads.chunks == [True, False, True] and reads.stripped == [False]
-        assert reads.floated == [4, 5, 6]
+        assert reads.chunks == [True, False, True] and reads.floated == [4, 5, 6]
 
     def test_a_blank_line_in_every_chunk_stays_on_numpy(self, tmp_path, monkeypatch):
-        # numpy refuses each raw chunk and reads each one stripped
+        # numpy reads each chunk's stripped lines, skipping the blank one
         p = write(tmp_path, "x,y\n" + "".join(f"{i},{i}.5\n \t\n" for i in range(6)))
         assert_same(p)
         reads = chunk_tables(monkeypatch)
         assert load_sample(p).x.tolist() == list(range(6))
-        assert reads.chunks == [False] * 4 and reads.stripped == [True] * 4
-        assert reads.floated == []
+        assert reads.chunks == [True] * 4 and reads.floated == []
 
     def test_bad_byte_in_an_otherwise_clean_chunk(self, tmp_path, monkeypatch):
         p = tmp_path / "d.csv"
@@ -428,8 +418,8 @@ class TestChunks:
         with pytest.raises(ParseError) as exc:
             load_sample(p)
         assert str(exc.value) == "line 6, column 4: byte 0xff is not UTF-8"
-        # the byte is named before its chunk is stripped or any line goes through float
-        assert reads.chunks == [True, False] and reads.stripped == reads.floated == []
+        # numpy refuses the chunk, and the byte is named before any line goes through float
+        assert reads.chunks == [True, False] and reads.floated == []
 
     def test_format_error_then_bad_byte_in_a_later_chunk(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -450,8 +440,8 @@ class TestChunks:
         finally:
             os.close(r)
         assert s.x.tolist() == list(range(8)) and s.y.tolist() == [i + 0.5 for i in range(8)]
-        assert reads.paths == [] and reads.chunks == [True, True, False]
-        assert reads.stripped == [True] and reads.floated == []
+        assert reads.paths == [] and reads.chunks == [True, True, True]
+        assert reads.floated == []
 
 
 @pytest.mark.parametrize("text", [
@@ -481,7 +471,7 @@ def test_a_file_is_opened_once_and_its_head_read_once(tmp_path, monkeypatch, tex
         return builtins.open(*args, **kwargs)
 
     def counted_loadtxt(source, *args, **kwargs):
-        if not isinstance(source, list):
+        if isinstance(source, Path):
             paths.append(source)
         return loadtxt(source, *args, **kwargs)
 
@@ -494,6 +484,55 @@ def test_a_file_is_opened_once_and_its_head_read_once(tmp_path, monkeypatch, tex
     monkeypatch.setattr(dataio, "_head", counted_head)
     assert outcome(load_sample, p) == reference
     assert opens == [p] and len(paths) <= 1 and len(heads) == 1
+
+
+@pytest.mark.parametrize("text, chunks", [
+    ("x,y\n" + rows_text(20), []),
+    ("x,y\n" + rows_text(19) + "   \n", [True] * 5),
+    ("x\ty\n" + "".join(f"{i}\t{i}.5\t\n" for i in range(20)), [True] * 5),
+    ("x,y\n" + rows_text(10) + "1,oops\n" + rows_text(9), [True, True, False]),
+], ids=["clean", "trailing-blank", "tab-every-row", "bad-cell"])
+def test_each_chunk_goes_to_numpy_once(tmp_path, monkeypatch, text, chunks):
+    """`np.loadtxt` parses the path at most once and, after it refuses the
+    path, each chunk of 4 lines once, on its stripped lines; `_lines` reads a
+    chunk only where numpy refused it, and numpy reads no chunk after one
+    that holds a format error. `chunks` says whether numpy read each chunk at
+    width 2."""
+    p = write(tmp_path, text)
+    monkeypatch.setattr(dataio, "_CHUNK_LINES", 4)
+    reference = outcome(line_by_line, p)
+    events, sizes = [], []
+    loadtxt, lines = np.loadtxt, dataio._lines
+
+    def counted_loadtxt(source, *args, **kwargs):
+        if isinstance(source, Path):
+            events.append(("path",))
+            return loadtxt(source, *args, **kwargs)
+        source = list(source)
+        sizes.append(len(source))
+        assert all(line == line.strip() for line in source)
+        try:
+            table = loadtxt(source, *args, **kwargs)
+        except ValueError:
+            events.append(("chunk", False))
+            raise
+        events.append(("chunk", table.shape[1] == 2))
+        return table
+
+    def counted_lines(source, first):
+        if isinstance(source, list):
+            events.append(("lines", first))
+        return lines(source, first)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(dataio, "_lines", counted_lines)
+    assert outcome(load_sample, p) == reference
+    expected = [("path",)]
+    for i, read in enumerate(chunks):
+        expected += [("chunk", read)] + ([] if read else [("lines", 2 + 4 * i)])
+    assert events == expected
+    body = text.count("\n") - 1  # the lines after the header
+    assert sizes == [min(4, body - 4 * i) for i in range(len(chunks))]
 
 
 def test_a_clean_file_is_read_by_hand_through_its_head_only(tmp_path, monkeypatch):

@@ -16,7 +16,9 @@ imports only the standard library and stays far below the command's own
 peak. The wall time runs from the spawn to the reap, start-up included. The
 command's output is discarded. Prints every run, then, per file and
 checkout, the median wall time, the median and range of the peak RSS and
-the exit codes seen. Standard library only.
+the exit codes seen, and per file the change/parent ratio of the median
+wall times and the number of rounds in which the change ran faster.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -57,6 +59,18 @@ def summarize(runs: dict) -> list:
     return rows
 
 
+def compare(runs: dict) -> list:
+    """One row per file of `runs`: the change/parent ratio of the median wall
+    times, and in how many of the rounds the change ran faster."""
+    rows = []
+    for data in dict.fromkeys(data for data, _ in runs):
+        parent, change = ([r[0] for r in runs[data, side]] for side in SIDES)
+        rows.append({"file": data, "ratio": statistics.median(change) / statistics.median(parent),
+                     "faster": sum(c < p for p, c in zip(parent, change)),
+                     "rounds": len(change)})
+    return rows
+
+
 def format_summary(rows: list) -> str:
     lines = [f"{'file':<24} {'side':<7} {'runs':>4} {'median s':>9} "
              f"{'peak MB (min-max)':>24}  exit codes"]
@@ -65,6 +79,14 @@ def format_summary(rows: list) -> str:
         lines.append(f"{Path(r['file']).name:<24} {r['side']:<7} {r['runs']:>4} "
                      f"{r['median_s']:>9.3f} {peak:>24}  "
                      f"{','.join(map(str, r['exit_codes']))}")
+    return "\n".join(lines)
+
+
+def format_comparison(rows: list) -> str:
+    lines = [f"{'file':<24} {'change/parent':>13}  change faster"]
+    for r in rows:
+        lines.append(f"{Path(r['file']).name:<24} {r['ratio']:>13.3f}  "
+                     f"{r['faster']}/{r['rounds']} rounds")
     return "\n".join(lines)
 
 
@@ -86,6 +108,8 @@ def main(argv=None) -> int:
                       f"{result[1]:.1f} MB exit {result[2]}", flush=True)
     print()
     print(format_summary(summarize(runs)))
+    print()
+    print(format_comparison(compare(runs)))
     return 0
 
 
